@@ -54,8 +54,11 @@ def optimize_routing(n, m, f, beta, budget=500):
 
     Projected subgradient method with a Polyak-style step built from the best
     value seen so far; the subgradient comes from the dominant singular pair
-    and the projection is the closed-form per-column/per-row mean shift.
-    Deterministic: starts from the uniform feasible pair.
+    of an exact SVD and the projection is the closed-form per-column/per-row
+    mean shift. Deterministic: starts from the uniform feasible pair. When
+    every H column and every K row has a single allowed entry (every n = 2
+    schedule) that pair is the only feasible one and is returned at once,
+    with ``iterations_used = 0``.
     """
     f = np.asarray(f, dtype=int)
     if not is_valid_schedule(f, n, m):
@@ -67,18 +70,18 @@ def optimize_routing(n, m, f, beta, budget=500):
         return RoutingResult(np.zeros((n, 0)), np.zeros((0, n)), 0.0, 0, True)
 
     h_mask, k_mask = support_masks(f, m)
-    if np.any(h_mask.sum(axis=0) == 0) or np.any(k_mask.sum(axis=1) == 0):
+    h_count, k_count = h_mask.sum(axis=0), k_mask.sum(axis=1)
+    if np.any(h_count == 0) or np.any(k_count == 0):
         raise ParameterError("schedule leaves an H column or K row with empty support")
 
-    h_mat = np.where(h_mask, 1.0 / h_mask.sum(axis=0)[None, :], 0.0)
-    k_mat = np.where(k_mask, 1.0 / k_mask.sum(axis=1)[:, None], 0.0)
+    h_mat = np.where(h_mask, 1.0 / h_count[None, :], 0.0)
+    k_mat = np.where(k_mask, 1.0 / k_count[:, None], 0.0)
     root_beta = np.sqrt(beta)
-
-    def objective(h, k):
-        return spectral_norm(root_beta[:, None] * (k - h.T))
+    best_val = spectral_norm(root_beta[:, None] * (k_mat - h_mat.T))
+    if np.all(h_count == 1) and np.all(k_count == 1):
+        return RoutingResult(h_mat, k_mat, float(best_val), 0, True)
 
     best_h, best_k = h_mat.copy(), k_mat.copy()
-    best_val = objective(h_mat, k_mat)
     init_val = max(best_val, 1e-12)
     stalled = 0
     used = 0
@@ -86,8 +89,7 @@ def optimize_routing(n, m, f, beta, budget=500):
     for t in range(budget):
         used = t + 1
         diff = root_beta[:, None] * (k_mat - h_mat.T)
-        # approximate top pair is plenty for a subgradient direction
-        sigma, u, v = top_singular_triple(diff, rtol=1e-9, max_iters=250)
+        sigma, u, v = top_singular_triple(diff)
         if sigma < best_val - 1e-12 * init_val:
             best_val, best_h, best_k = sigma, h_mat.copy(), k_mat.copy()
             stalled = 0
@@ -106,9 +108,9 @@ def optimize_routing(n, m, f, beta, budget=500):
         k_mat = k_mat - step * g_k
         h_mat, k_mat = _project_routing(h_mat, k_mat, h_mask, k_mask)
 
-    final = objective(best_h, best_k)
+    # best_val is the exact norm at the best pair: the loop uses the same kernel
     converged = gnorm2 <= 1e-30 or stalled >= 50 or used < budget
-    return RoutingResult(best_h, best_k, float(final), used, bool(converged))
+    return RoutingResult(best_h, best_k, float(best_val), used, bool(converged))
 
 
 def sfb_plus_params(n, m, f, beta, theta=0.9, budget=500):

@@ -1,70 +1,33 @@
-"""Small deterministic linear-algebra kernels used throughout the package."""
+"""Small deterministic linear-algebra kernels used throughout the package.
+
+The spectral norm and its dominant singular pair come from one exact SVD
+kernel (LAPACK's thin SVD); the matrices involved are small.
+"""
 
 import numpy as np
 
 from .errors import NotRepresentableError
 
-#: Power iteration caps; successive Rayleigh quotients must agree to this
-#: relative tolerance before the iteration stops.
-_POWER_MAX_ITERS = 10_000
-_POWER_RTOL = 1e-12
 
-
-def _power_start(k):
-    # all-ones start with a tiny index-dependent tilt so the start vector is
-    # never orthogonal to the dominant eigenvector of a structured matrix
-    v = np.ones(k) + 1e-6 * np.arange(k)
-    return v / np.linalg.norm(v)
-
-
-def top_singular_triple(a, *, rtol=_POWER_RTOL, max_iters=_POWER_MAX_ITERS):
+def top_singular_triple(a):
     """Dominant singular triple (sigma, u, v) of a 2-D array.
 
-    Deterministic power iteration on the smaller Gram matrix of ``a``.
-    Returns ``sigma >= 0`` and unit vectors with ``a @ v ~= sigma * u``.
-    Loosened ``rtol``/``max_iters`` give cheap approximate pairs (enough for
-    subgradient directions); the defaults give the singular value to full
-    working accuracy.
+    The first triple of LAPACK's thin SVD, so ``sigma`` is exact to working
+    accuracy even when the top singular values coalesce. Returns
+    ``sigma >= 0`` and unit vectors with ``a @ v = sigma * u``; a zero matrix
+    gives ``sigma = 0`` and a zero ``v``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty matrix")
-    rows, cols = a.shape
-    if rows <= cols:
-        gram = a @ a.T
-        q = _power_start(rows)
-    else:
-        gram = a.T @ a
-        q = _power_start(cols)
-
-    rho = q @ (gram @ q)
-    for _ in range(max_iters):
-        w = gram @ q
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            rho = 0.0
-            break
-        q = w / norm
-        rho_next = q @ (gram @ q)
-        if abs(rho_next - rho) <= rtol * max(abs(rho_next), 1e-30):
-            rho = rho_next
-            break
-        rho = rho_next
-
-    sigma = np.sqrt(max(rho, 0.0))
-    if rows <= cols:
-        u = q
-        av = a.T @ u
-        v = av / np.linalg.norm(av) if np.linalg.norm(av) > 0 else np.zeros(cols)
-    else:
-        v = q
-        au = a @ v
-        u = au / np.linalg.norm(au) if np.linalg.norm(au) > 0 else np.zeros(rows)
-    return sigma, u, v
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0:
+        return 0.0, u[:, 0], np.zeros(a.shape[1])
+    return float(s[0]), u[:, 0], vt[0]
 
 
 def spectral_norm(a):
-    """Largest singular value of ``a`` (deterministic power iteration)."""
+    """Largest singular value of ``a``."""
     sigma, _, _ = top_singular_triple(a)
     return sigma
 

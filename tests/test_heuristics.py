@@ -5,7 +5,7 @@ from minisplit.errors import ParameterError
 from minisplit.heuristics import heuristic_laplacian, optimize_routing, sfb_plus_params
 from minisplit.linalg import spectral_norm
 from minisplit.params import complete_laplacian, validate_params
-from minisplit.schedule import is_causal_pair, random_schedule
+from minisplit.schedule import is_causal_pair, random_schedule, support_masks
 
 
 def grid_oracle_single_forward(beta):
@@ -17,6 +17,45 @@ def grid_oracle_single_forward(beta):
     a = np.arange(0.0, 1.0 + 1e-4, 1e-4)
     vals = np.sqrt(beta * (1.0 + a**2 + (1.0 - a) ** 2))
     return float(np.min(vals))
+
+
+def routing_instance(seed):
+    """Seeded routing instance: n in 3..8, m in 1..6, beta uniform on [0.1, 3]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(1, 7))
+    beta = rng.uniform(0.1, 3.0, m)
+    return n, m, random_schedule(n, m, seed), beta
+
+
+#: Objectives of the power-iteration optimizer (default budget) on
+#: ``routing_instance(seed)`` for seeds 0..23; later optimizers must not lose.
+PINNED_OBJECTIVES = [
+    1.296299833221597,  # n=8, m=4, f=[0, 0, 1, 1, 2, 3, 4, 4]
+    2.0538409198364347,  # n=5, m=4, f=[0, 2, 2, 3, 4]
+    1.1539302297706748,  # n=8, m=2, f=[0, 0, 0, 0, 1, 2, 2, 2]
+    0.7421087038905301,  # n=7, m=1, f=[0, 0, 0, 0, 0, 1, 1]
+    2.378991558384336,  # n=7, m=6, f=[0, 3, 5, 6, 6, 6, 6]
+    1.6924209758951778,  # n=7, m=5, f=[0, 0, 2, 4, 4, 4, 5]
+    2.277595228561254,  # n=5, m=4, f=[0, 2, 2, 2, 4]
+    2.40557586519824,  # n=8, m=4, f=[0, 2, 3, 3, 3, 4, 4, 4]
+    1.5251106501118716,  # n=7, m=2, f=[0, 0, 0, 0, 2, 2, 2]
+    2.871338682237922,  # n=5, m=6, f=[0, 2, 6, 6, 6]
+    1.727976442179609,  # n=7, m=6, f=[0, 1, 1, 5, 5, 6, 6]
+    1.5237646477112203,  # n=3, m=1, f=[0, 0, 1]
+    1.4715824596955251,  # n=6, m=2, f=[0, 0, 1, 2, 2, 2]
+    2.4575331728056025,  # n=8, m=6, f=[0, 0, 5, 5, 5, 6, 6, 6]
+    3.780695928227523,  # n=3, m=5, f=[0, 0, 5]
+    1.6826242078160134,  # n=8, m=5, f=[0, 1, 2, 4, 4, 4, 5, 5]
+    1.513027902609795,  # n=6, m=4, f=[0, 2, 2, 2, 4, 4]
+    1.3400663584761674,  # n=7, m=6, f=[0, 0, 1, 3, 5, 5, 6]
+    1.2081544915957656,  # n=8, m=3, f=[0, 0, 1, 1, 2, 3, 3, 3]
+    1.8299760405458814,  # n=6, m=3, f=[0, 1, 1, 2, 3, 3]
+    0.8570018173578671,  # n=8, m=2, f=[0, 0, 0, 0, 1, 2, 2, 2]
+    2.1651493879799095,  # n=4, m=5, f=[0, 1, 4, 5]
+    1.0925745896656651,  # n=7, m=3, f=[0, 0, 1, 2, 3, 3, 3]
+    3.3390368496659644,  # n=3, m=5, f=[0, 0, 5]
+]
 
 
 class TestHeuristicLaplacian:
@@ -44,13 +83,38 @@ class TestOptimizeRouting:
         assert abs(res.objective - np.sqrt(1.5 * beta)) <= 1e-3 * np.sqrt(1.5 * beta)
 
     def test_two_resolvents_forced_pair(self):
-        res = optimize_routing(2, 4, [0, 4], np.array([1.0, 2.0, 0.5, 0.1]))
-        np.testing.assert_array_equal(res.H[0], 0.0)
-        np.testing.assert_array_equal(res.H[1], 1.0)
-        np.testing.assert_array_equal(res.K[:, 0], 1.0)
-        np.testing.assert_array_equal(res.K[:, 1], 0.0)
-        # the forced pair has penalty matrix (sum beta) * rank-one laplacian
-        assert abs(res.objective**2 - 2 * 3.6) < 1e-9
+        for m in range(1, 7):
+            beta = np.random.default_rng(m).uniform(0.1, 3.0, m)
+            res = optimize_routing(2, m, [0, m], beta)
+            np.testing.assert_array_equal(res.H, np.vstack([np.zeros(m), np.ones(m)]))
+            np.testing.assert_array_equal(res.K, np.column_stack([np.ones(m), np.zeros(m)]))
+            assert res.iterations_used == 0
+            assert res.converged
+            # the forced pair has penalty matrix (sum beta) * rank-one laplacian
+            assert abs(res.objective**2 - 2 * beta.sum()) < 1e-12 * beta.sum()
+
+    @pytest.mark.parametrize("f", [[0, 0, 3], [0, 3, 3]])
+    def test_three_resolvents_never_forced(self, f):
+        # for n >= 3 node 0 is in every K row and node n-1 in every H column,
+        # so at most one side has singleton supports and the pair stays free;
+        # here the free entries are interchangeable, so the uniform start is
+        # optimal and the optimizer must run and keep it
+        h_mask, k_mask = support_masks(np.array(f), 3)
+        assert np.all(h_mask.sum(axis=0) == 1) != np.all(k_mask.sum(axis=1) == 1)
+        beta = np.array([2.0, 0.5, 1.0])
+        res = optimize_routing(3, 3, f, beta)
+        h0 = np.where(h_mask, 1.0 / h_mask.sum(axis=0)[None, :], 0.0)
+        k0 = np.where(k_mask, 1.0 / k_mask.sum(axis=1)[:, None], 0.0)
+        start = spectral_norm(np.sqrt(beta)[:, None] * (k0 - h0.T))
+        assert res.iterations_used > 0
+        assert abs(res.objective - start) <= 1e-12 * start
+        np.testing.assert_allclose(res.H, h0, atol=1e-12)
+        np.testing.assert_allclose(res.K, k0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(len(PINNED_OBJECTIVES)))
+    def test_no_worse_than_pinned_objectives(self, seed):
+        res = optimize_routing(*routing_instance(seed))
+        assert res.objective <= PINNED_OBJECTIVES[seed] * (1.0 + 1e-6)
 
     def test_no_forwards(self):
         res = optimize_routing(4, 0, [0, 0, 0, 0], np.zeros(0))
@@ -80,8 +144,6 @@ class TestOptimizeRouting:
         beta = np.array([3.0, 1.0, 0.5, 2.0])
         res = optimize_routing(4, 4, f, beta)
         # uniform start objective, computed independently
-        from minisplit.schedule import support_masks
-
         h_mask, k_mask = support_masks(f, 4)
         h0 = np.where(h_mask, 1.0 / h_mask.sum(axis=0)[None, :], 0.0)
         k0 = np.where(k_mask, 1.0 / k_mask.sum(axis=1)[:, None], 0.0)

@@ -1,8 +1,28 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from minisplit.errors import NotRepresentableError
 from minisplit.linalg import consensus_variance, psd_factor, spectral_norm, top_singular_triple
+
+entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def matrices(draw):
+    """Dense, zero and rank-one matrices with 1 to 9 rows and columns."""
+    rows, cols = draw(shapes)
+    kind = draw(st.sampled_from(["dense", "zero", "rank-one"]))
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "rank-one":
+        x = draw(hnp.arrays(float, rows, elements=entries))
+        y = draw(hnp.arrays(float, cols, elements=entries))
+        return np.outer(x, y)
+    return draw(hnp.arrays(float, (rows, cols), elements=entries))
 
 
 class TestSpectralNorm:
@@ -31,13 +51,23 @@ class TestSpectralNorm:
         assert spectral_norm(a) == spectral_norm(a.copy())
 
     def test_triple_consistency(self):
-        # the value converges quadratically in the vector error, so the
-        # vectors themselves carry roughly the square root of its accuracy
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 7))
         sigma, u, v = top_singular_triple(a)
-        np.testing.assert_allclose(a @ v, sigma * u, atol=1e-5)
-        np.testing.assert_allclose(a.T @ u, sigma * v, atol=1e-5)
+        np.testing.assert_allclose(a @ v, sigma * u, atol=1e-10)
+        np.testing.assert_allclose(a.T @ u, sigma * v, atol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_matches_two_norm(self, a):
+        sigma, u, v = top_singular_triple(a)
+        ref = np.linalg.norm(a, 2)
+        assert abs(sigma - ref) <= 1e-12 * ref
+        if ref > 0.0:
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            np.testing.assert_allclose(a @ v, sigma * u, atol=1e-10 * ref)
+        else:
+            np.testing.assert_array_equal(v, 0.0)
 
 
 class TestConsensusVariance:
