@@ -25,6 +25,13 @@ DEFAULT_THETA = 0.9
 
 _DIVERGENCE_FACTOR = 1e6
 
+#: Memory depth of the accelerated loop: the number of past steps each
+#: extrapolation combines.
+ANDERSON_DEPTH = 5
+#: Tikhonov weight of the extrapolation's least-squares problem, relative to
+#: the trace of its Gram matrix.
+_ANDERSON_REG = 1e-8
+
 
 def extract_solution(x):
     """Consensus representative: the block average of x.
@@ -81,11 +88,14 @@ def split_step(params, problem, z):
 class RunReport:
     """Per-iteration convergence records plus final diagnostics.
 
-    ``fp_residual[k]`` is ||state_{k+1} - state_k|| / theta, the norm of the
-    displacement of the underlying nonexpansive map. ``objective`` holds NaN
-    where no evaluator was supplied (or recording was off). The consensus
-    diagnostics certify the fixed-point encoding at termination: all blocks
-    close to their mean, and the recovered operator values summing to zero.
+    ``fp_residual[k]`` is ||T(state_k) - state_k|| / theta, the norm of the
+    displacement of the underlying nonexpansive map T at the k-th evaluated
+    state; without acceleration T(state_k) is state_{k+1}. ``objective``
+    holds NaN where no evaluator was supplied (or recording was off). The
+    consensus diagnostics certify the fixed-point encoding at termination:
+    all blocks close to their mean, and the recovered operator values summing
+    to zero. An accelerated run reports them, and ``final_x``, at its last
+    accepted state.
     """
 
     fp_residual: np.ndarray
@@ -137,6 +147,56 @@ class RunReport:
                 )
 
 
+class _Anderson:
+    """Safeguarded Anderson acceleration of an averaged map T.
+
+    ``step(w, t_w, res)`` takes one evaluation T(w) with its residual and
+    returns ``(next state, accepted)``. An evaluation is accepted when its
+    residual is no larger than that of the last accepted one; the first
+    evaluation and the plain step after a rejection are always accepted (an
+    averaged map does not raise the residual along a plain step, and
+    accepting it keeps rounding from stalling the run). An accepted
+    evaluation joins a history of at most ``ANDERSON_DEPTH`` steps and the
+    next state is the regularized least-squares extrapolation over it (type
+    II, Walker & Ni 2011; safeguard after Zhang, O'Donoghue & Boyd 2020). A
+    rejected one clears the history, and the next state is the plain step
+    T(w_good) from the last accepted state, already computed when that state
+    was accepted, so every state costs exactly one sweep.
+    """
+
+    def __init__(self):
+        self.dw, self.dg = [], []
+        self.last = None
+        # residual and image of the last accepted evaluation; the residual is
+        # None before the first one and right after a rejection
+        self.good_res = None
+        self.good_image = None
+
+    def step(self, w, t_w, res):
+        if self.good_res is not None and not res <= self.good_res:
+            self.dw.clear()
+            self.dg.clear()
+            self.last = self.good_res = None
+            return self.good_image, False
+        self.good_res, self.good_image = res, t_w
+        flat_w, g = w.ravel(), (t_w - w).ravel()
+        if self.last is not None:
+            self.dw.append(flat_w - self.last[0])
+            self.dg.append(g - self.last[1])
+            if len(self.dg) > ANDERSON_DEPTH:
+                del self.dw[0], self.dg[0]
+        self.last = flat_w, g
+        if not self.dg:
+            return t_w, True
+        dg = np.stack(self.dg, axis=1)
+        gram = dg.T @ dg
+        reg = _ANDERSON_REG * float(np.trace(gram))
+        if not 0.0 < reg < np.inf:
+            return t_w, True
+        coef = np.linalg.solve(gram + reg * np.eye(gram.shape[0]), dg.T @ g)
+        return t_w - ((np.stack(self.dw, axis=1) + dg) @ coef).reshape(w.shape), True
+
+
 def _fixed_point_loop(
     problem,
     s_mat,
@@ -151,9 +211,11 @@ def _fixed_point_loop(
     rel_stop,
     record_objective,
     trace,
+    accelerate,
 ):
     h_mat, k_mat, f = causal.H, causal.K, causal.F
     objective_fn = problem.objective if record_objective else None
+    anderson = _Anderson() if accelerate else None
     state = state0
     t0 = time.perf_counter()
 
@@ -167,21 +229,27 @@ def _fixed_point_loop(
     initial = None
 
     for _ in range(max_iters):
-        x, u, a = _sweep(problem, s_mat, gamma, h_mat, k_mat, f, to_drive(state))
-        new_state = advance(state, x)
+        x_k, u_k, a_k = _sweep(problem, s_mat, gamma, h_mat, k_mat, f, to_drive(state))
+        new_state = advance(state, x_k)
         res = float(np.linalg.norm(new_state - state)) / theta
-        state = new_state
+        if anderson is None:
+            state, accepted = new_state, True
+        else:
+            state, accepted = anderson.step(state, new_state, res)
 
         fp_res.append(res)
-        variances.append(consensus_variance(x))
+        variances.append(consensus_variance(x_k))
         if objective_fn is not None:
-            objectives.append(float(objective_fn(extract_solution(x))))
+            objectives.append(float(objective_fn(extract_solution(x_k))))
         else:
             objectives.append(float("nan"))
         elapsed.append((time.perf_counter() - t0) * 1e3)
         if trace:
-            x_trace.append(x.copy())
+            x_trace.append(x_k.copy())
             state_trace.append(state.copy())
+        if not accepted:
+            continue
+        x, u, a = x_k, u_k, a_k
 
         if initial is None:
             initial = res
@@ -226,6 +294,7 @@ def run(
     rel_stop=DEFAULT_REL_STOP,
     record_objective=True,
     trace=False,
+    accelerate=False,
 ):
     """Fixed-point iteration in minimal form (state z in H^(n-1)).
 
@@ -233,6 +302,13 @@ def run(
     threshold, or below ``rel_stop`` times the first residual. Raises
     :class:`DivergenceError` if the residual grows by a factor 1e6, and
     :class:`ParameterError` when the bundle fails validation.
+
+    ``accelerate=True`` applies safeguarded Anderson acceleration to the
+    state (see :class:`_Anderson`): each iteration is still one sweep that
+    calls every oracle once, the stopping and divergence tests look at
+    accepted residuals only, and the final diagnostics come from the last
+    accepted iterate. The x-trajectory is then no longer the method's own,
+    so this is for computing reference solutions, not for comparing methods.
     """
     report = validate_params(params)
     if not report.passed:
@@ -264,6 +340,7 @@ def run(
         rel_stop,
         record_objective,
         trace,
+        accelerate,
     )
 
 
@@ -280,6 +357,7 @@ def run_lifted(
     rel_stop=DEFAULT_REL_STOP,
     record_objective=True,
     trace=False,
+    accelerate=False,
 ):
     """Fixed-point iteration in lifted form (state w in H^n, sum_i w_i = 0).
 
@@ -287,7 +365,8 @@ def run_lifted(
     w <- w - theta * laplacian @ x. Produces the same x-trajectory as the
     minimal form started from any z0 with M z0 = w0, where M is a full-rank
     factor of the laplacian. The zero-sum of w is conserved because the
-    laplacian annihilates the all-ones vector.
+    laplacian annihilates the all-ones vector (an accelerated state is an
+    affine combination of such states). ``accelerate`` is as in :func:`run`.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     n = laplacian.shape[0]
@@ -335,4 +414,5 @@ def run_lifted(
         rel_stop,
         record_objective,
         trace,
+        accelerate,
     )

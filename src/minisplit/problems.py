@@ -24,6 +24,11 @@ from .prox import (
     soft_threshold_offset,
 )
 
+#: Relative margin on computed cocoercivity constants (7.1e-15): the spectral
+#: norm of a symmetric PSD matrix is exact only to a few ulps either way, and
+#: a declared constant must dominate the true one.
+_BETA_MARGIN = 1.0 + 32.0 * np.finfo(float).eps
+
 
 def _even_blocks(p, m):
     """Partition range(p) into m contiguous blocks, remainder to the front."""
@@ -75,9 +80,9 @@ def gen_toy_problem(cfg, *, beta_override=None):
 
     Resolvents are the proxes of the distance terms ||x - xi_i||; forward
     block i is the gradient of the Huber data fit restricted to its rows,
-    with cocoercivity constant ||Psi_I Psi_I^T||_2 (or ``beta_override``,
-    e.g. a uniform worst-case vector for comparison runs; the declared
-    constants must dominate the true ones).
+    with cocoercivity constant ||Psi_I Psi_I^T||_2, rounded up by a few ulps
+    (or ``beta_override``, e.g. a uniform worst-case vector for comparison
+    runs; the declared constants must dominate the true ones).
     """
     psi, y, xi = toy_data(cfg)
     d1, d2 = cfg.delta1, cfg.delta2
@@ -101,7 +106,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
                 _, g = huber_value_grad(d1, d2, psi_blk @ x - y_blk)
                 return psi_blk.T @ g
 
-            beta = float(spectral_norm(psi_blk @ psi_blk.T))
+            beta = float(spectral_norm(psi_blk @ psi_blk.T)) * _BETA_MARGIN
             if beta_override is not None:
                 beta = float(beta_override[i])
             forwards.append(ForwardOracle(grad, beta, descriptor=f"huber-block-{i + 1}"))
@@ -192,7 +197,8 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
     and three emission halfspaces whose budgets come from the current
     portfolio. The quadratic risk-return term is split into per-chunk
     covariance gradients scaled so their sum approximates the full-sample
-    quadratic.
+    quadratic; each declares twice the spectral norm of its covariance,
+    rounded up by a few ulps so it dominates the true constant.
     """
     if cfg.data is not None:
         returns = load_returns_csv(cfg.data, expected_assets=None)
@@ -221,7 +227,7 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
         def grad(x, sig=sig):
             return 2.0 * (sig @ x) - r_hat / m
 
-        beta = 2.0 * float(spectral_norm(sig))
+        beta = 2.0 * float(spectral_norm(sig)) * _BETA_MARGIN
         if beta_override is not None:
             beta = float(beta_override[i])
         forwards.append(ForwardOracle(grad, beta, descriptor=f"risk-chunk-{i + 1}"))
