@@ -22,7 +22,7 @@ from .errors import (
     StepSizeViolationError,
 )
 from .graphs import GraphSpec, build_graph, complete_graph, graph_laplacian, path_graph, ring_graph
-from .heuristics import RoutingResult, heuristic_laplacian, optimize_routing, sfb_plus_params
+from .heuristics import RoutingResult, optimize_routing, sfb_plus_params
 from .linalg import consensus_variance, spectral_norm
 from .oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
 from .params import (
@@ -46,7 +46,6 @@ from .presets import (
     agfb_params,
     davis_yin_params,
     gfb_params,
-    graph_builders,
     graph_drs_params,
 )
 from .problems import (

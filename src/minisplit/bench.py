@@ -72,7 +72,6 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
             return MethodDescriptor(
                 name="SFBplus",
                 params=params,
-                lifted=True,
                 laplacian=complete_laplacian(n),
                 notes=f"schedule {f.tolist()}",
             )
@@ -112,36 +111,19 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
 
 def execute(method, problem, iters, *, stop=0.0, rel_stop=1e-14, record_objective=True, trace=False,
             accelerate=False):
-    """Run a descriptor, in lifted form when it asks for it.
+    """Run a descriptor, in lifted form when it carries a laplacian.
 
     ``accelerate`` turns on the engine's safeguarded Anderson acceleration;
     only :func:`reference_solution` uses it, so compared runs follow their
     method's own iteration.
     """
-    if method.lifted and method.laplacian is not None:
-        return run_lifted(
-            method.laplacian,
-            method.params.causal,
-            method.params.beta,
-            method.params.theta,
-            problem,
-            max_iters=iters,
-            stop=stop,
-            rel_stop=rel_stop,
-            record_objective=record_objective,
-            trace=trace,
-            accelerate=accelerate,
-        )
-    return run(
-        method.params,
-        problem,
-        max_iters=iters,
-        stop=stop,
-        rel_stop=rel_stop,
-        record_objective=record_objective,
-        trace=trace,
-        accelerate=accelerate,
-    )
+    options = dict(max_iters=iters, stop=stop, rel_stop=rel_stop, record_objective=record_objective,
+                   trace=trace, accelerate=accelerate)
+    params = method.params
+    if method.laplacian is not None:
+        return run_lifted(method.laplacian, params.causal, params.beta, params.theta, problem,
+                          **options)
+    return run(params, problem, **options)
 
 
 def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=False, config=None, trace=False):
@@ -161,7 +143,7 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     final["wall_time_s"] = float(report.elapsed_ms[-1] / 1e3) if report.iterations else 0.0
     sidecar = {
         "config": config or {},
-        "method": {"name": method.name, "lifted": method.lifted, "notes": method.notes},
+        "method": {"name": method.name, "lifted": method.laplacian is not None, "notes": method.notes},
         "problem": problem.label,
         "seed": seed,
         "iters": iters,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .linalg import consensus_variance
-from .params import forward_penalty, validate_params
+from .params import factor_laplacian, forward_penalty, from_components, validate_params
 
 #: Residuals are also compared against the first iteration's residual; the
 #: loop stops once they fall below this relative factor.
@@ -41,12 +41,14 @@ def extract_solution(x):
     return np.asarray(x, dtype=float).mean(axis=0)
 
 
-def _sweep(problem, s_mat, gamma, h_mat, k_mat, f, drive):
+def _sweep(problem, params, drive):
     """One triangular sweep. ``drive`` is the (n, d) external input per row.
 
     Returns (x, u, a) where a_i = (resolvent input - x_i) / gamma_i recovers
     an element of the monotone operator at x_i.
     """
+    s_mat, gamma = params.S, params.gamma
+    h_mat, k_mat, f = params.causal.H, params.causal.K, params.causal.F
     n = s_mat.shape[0]
     m = k_mat.shape[0]
     d = drive.shape[1]
@@ -78,8 +80,7 @@ def split_step(params, problem, z):
     each forward oracle is invoked exactly once.
     """
     z = np.asarray(z, dtype=float)
-    causal = params.causal
-    x, u, _ = _sweep(problem, params.S, params.gamma, causal.H, causal.K, causal.F, params.M @ z)
+    x, u, _ = _sweep(problem, params, params.M @ z)
     z_next = z - params.theta * (params.M.T @ x)
     return z_next, x, u
 
@@ -197,23 +198,22 @@ class _Anderson:
         return t_w - ((np.stack(self.dw, axis=1) + dg) @ coef).reshape(w.shape), True
 
 
-def _fixed_point_loop(
-    problem,
-    s_mat,
-    gamma,
-    causal,
-    theta,
-    state0,
-    to_drive,
-    advance,
-    max_iters,
-    stop,
-    rel_stop,
-    record_objective,
-    trace,
-    accelerate,
-):
-    h_mat, k_mat, f = causal.H, causal.K, causal.F
+def _checked_bundle(params, problem):
+    """Raise :class:`ParameterError` unless the bundle validates and its
+    resolvent and forward counts match the problem's."""
+    report = validate_params(params)
+    if not report.passed:
+        raise ParameterError(f"parameters fail validation: {report.to_dict()}")
+    if params.n != problem.n or params.m != problem.m:
+        raise ParameterError(
+            f"parameter counts (n={params.n}, m={params.m}) do not match "
+            f"problem counts (n={problem.n}, m={problem.m})"
+        )
+
+
+def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, stop, *,
+                      rel_stop, record_objective, trace, accelerate):
+    theta = params.theta
     objective_fn = problem.objective if record_objective else None
     anderson = _Anderson() if accelerate else None
     state = state0
@@ -229,7 +229,7 @@ def _fixed_point_loop(
     initial = None
 
     for _ in range(max_iters):
-        x_k, u_k, a_k = _sweep(problem, s_mat, gamma, h_mat, k_mat, f, to_drive(state))
+        x_k, u_k, a_k = _sweep(problem, params, to_drive(state))
         new_state = advance(state, x_k)
         res = float(np.linalg.norm(new_state - state)) / theta
         if anderson is None:
@@ -310,38 +310,18 @@ def run(
     accepted iterate. The x-trajectory is then no longer the method's own,
     so this is for computing reference solutions, not for comparing methods.
     """
-    report = validate_params(params)
-    if not report.passed:
-        raise ParameterError(f"parameters fail validation: {report.to_dict()}")
-    if params.n != problem.n or params.m != problem.m:
-        raise ParameterError(
-            f"parameter counts (n={params.n}, m={params.m}) do not match "
-            f"problem counts (n={problem.n}, m={problem.m})"
-        )
+    _checked_bundle(params, problem)
     if z0 is None:
         z0 = np.zeros((params.n - 1, problem.dimension))
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (params.n - 1, problem.dimension):
         raise ParameterError("z0 must have shape (n-1, d)")
 
-    m_mat = params.M
-    theta = params.theta
-    return _fixed_point_loop(
-        problem,
-        params.S,
-        params.gamma,
-        params.causal,
-        theta,
-        z0,
-        lambda z: m_mat @ z,
-        lambda z, x: z - theta * (m_mat.T @ x),
-        max_iters,
-        stop,
-        rel_stop,
-        record_objective,
-        trace,
-        accelerate,
-    )
+    m_mat, theta = params.M, params.theta
+    return _fixed_point_loop(problem, params, z0, lambda z: m_mat @ z,
+                             lambda z, x: z - theta * (m_mat.T @ x), max_iters, stop,
+                             rel_stop=rel_stop, record_objective=record_objective, trace=trace,
+                             accelerate=accelerate)
 
 
 def run_lifted(
@@ -367,23 +347,18 @@ def run_lifted(
     factor of the laplacian. The zero-sum of w is conserved because the
     laplacian annihilates the all-ones vector (an accelerated state is an
     affine combination of such states). ``accelerate`` is as in :func:`run`.
+
+    The bundle is built with :func:`from_components` from a factor of the
+    laplacian and S, and checked as in :func:`run`: a laplacian that is not
+    symmetric PSD with zero row sums and rank n-1, a theta outside (0, 1),
+    counts that do not match the problem, or a ``w0`` of the wrong shape or
+    with a nonzero block sum raise :class:`ParameterError`.
     """
     laplacian = np.asarray(laplacian, dtype=float)
-    n = laplacian.shape[0]
-    beta = np.asarray(beta, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(laplacian))))
-    if laplacian.shape != (n, n) or np.max(np.abs(laplacian - laplacian.T)) > 1e-9 * scale:
-        raise ParameterError("laplacian must be square and symmetric")
-    if np.max(np.abs(laplacian @ np.ones(n))) > 1e-9 * scale:
-        raise ParameterError("laplacian must annihilate the all-ones vector")
-    vals = np.linalg.eigvalsh(laplacian)
-    if vals[0] < -1e-8 * scale or vals[1] <= 1e-10 * scale:
-        raise ParameterError("laplacian must be PSD with rank n-1 (connected)")
-    if not 0.0 < theta < 1.0:
-        raise ParameterError("relaxation theta must lie in (0, 1)")
-    if n != problem.n or causal.m != problem.m:
-        raise ParameterError("laplacian/routing sizes do not match the problem")
-
+    params = from_components(factor_laplacian(laplacian), laplacian + forward_penalty(causal, beta),
+                             causal, beta, theta)
+    _checked_bundle(params, problem)
+    n, theta = params.n, params.theta
     if w0 is None:
         w0 = np.zeros((n, problem.dimension))
     w0 = np.asarray(w0, dtype=float)
@@ -392,27 +367,7 @@ def run_lifted(
     drift = float(np.linalg.norm(w0.sum(axis=0)))
     if drift > 1e-8 * max(1.0, float(np.max(np.abs(w0)))):
         raise ParameterError("lifted state must start with zero block sum")
-
-    w_pen = forward_penalty(causal, beta)
-    s_mat = laplacian + w_pen
-    diag = np.diag(s_mat)
-    if np.any(diag <= 1e-12):
-        raise ParameterError("degenerate step matrix in lifted form")
-    gamma = 2.0 / diag
-
-    return _fixed_point_loop(
-        problem,
-        s_mat,
-        gamma,
-        causal,
-        theta,
-        w0,
-        lambda w: w,
-        lambda w, x: w - theta * (laplacian @ x),
-        max_iters,
-        stop,
-        rel_stop,
-        record_objective,
-        trace,
-        accelerate,
-    )
+    return _fixed_point_loop(problem, params, w0, lambda w: w,
+                             lambda w, x: w - theta * (laplacian @ x), max_iters, stop,
+                             rel_stop=rel_stop, record_objective=record_objective, trace=trace,
+                             accelerate=accelerate)

@@ -15,11 +15,6 @@ from .params import assemble, complete_laplacian, factor_laplacian
 from .schedule import CausalPair, is_valid_schedule, support_masks
 
 
-def heuristic_laplacian(n):
-    """Coupling laplacian of choice: the complete graph, n I - 1 1^T."""
-    return complete_laplacian(n)
-
-
 @dataclass(frozen=True)
 class RoutingResult:
     """Outcome of the routing optimization.

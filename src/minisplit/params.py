@@ -57,12 +57,11 @@ class SplittingParams:
     beta: np.ndarray
     theta: float
     S: np.ndarray
-    L: np.ndarray
     gamma: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
-        for name in ("M", "beta", "S", "L", "gamma", "W"):
+        for name in ("M", "beta", "S", "gamma", "W"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.P is not None:
             object.__setattr__(self, "P", _freeze(self.P))
@@ -74,6 +73,11 @@ class SplittingParams:
     @property
     def m(self):
         return self.beta.size
+
+    @property
+    def L(self):
+        """Strictly lower coupling -slt(S), with -0.0 entries normalized."""
+        return -np.tril(self.S, -1) + 0.0
 
 
 def _check_centering(mat, n, what):
@@ -94,15 +98,14 @@ def _derive(s_mat, theta):
             f"degenerate step matrix: resolvent {bad} receives no coupling"
         )
     gamma = 2.0 / diag
-    l_mat = -np.tril(s_mat, -1) + 0.0  # normalize -0.0 entries
     if not 0.0 < theta < 1.0:
         raise ParameterError("relaxation theta must lie in (0, 1)")
     # consistency of the trace identity, guaranteed by construction
     ones = np.ones(s_mat.shape[0])
-    resid = abs(ones @ (np.diag(1.0 / gamma) - l_mat) @ ones)
+    resid = abs(ones @ (np.diag(1.0 / gamma) + np.tril(s_mat, -1)) @ ones)
     if resid > 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
         raise ParameterError("step matrix is inconsistent with the trace identity")
-    return l_mat, gamma
+    return gamma
 
 
 def _as_causal(causal, n, beta):
@@ -124,7 +127,7 @@ def assemble(m_mat, p_mat, causal, beta, theta):
     """Build a parameter bundle from its defining matrices.
 
     Requires M^T 1 = 0 with full column rank, P^T 1 = 0, a causal routing pair
-    matching ``beta``, and theta in (0, 1). The derived S, L, gamma satisfy
+    matching ``beta``, and theta in (0, 1). The derived S and gamma satisfy
     the structural conditions by construction.
     """
     m_mat = _check_centering(m_mat, np.asarray(m_mat).shape[0], "coupling factor M")
@@ -141,8 +144,8 @@ def assemble(m_mat, p_mat, causal, beta, theta):
 
     w_mat = forward_penalty(causal, beta)
     s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + w_mat
-    l_mat, gamma = _derive(s_mat, theta)
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, l_mat, gamma, w_mat)
+    gamma = _derive(s_mat, theta)
+    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, gamma, w_mat)
 
 
 def from_components(m_mat, s_mat, causal, beta, theta):
@@ -168,8 +171,8 @@ def from_components(m_mat, s_mat, causal, beta, theta):
         )
     except NotRepresentableError:
         p_mat = None
-    l_mat, gamma = _derive(s_mat, theta)
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, l_mat, gamma, w_mat)
+    gamma = _derive(s_mat, theta)
+    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, gamma, w_mat)
 
 
 def factor_slack(s_target, m_mat, w_mat):
@@ -309,9 +312,10 @@ def validate_params(params, *, tol_null=1e-9, tol_sum=1e-9, tol_psd=1e-8):
         and null_resid <= tol_null * m_scale
     )
 
-    strict_lower = bool(np.all(np.triu(params.L) == 0.0))
+    l_mat = params.L
+    strict_lower = bool(np.all(np.triu(l_mat) == 0.0))
     gamma_inv = np.diag(1.0 / params.gamma)
-    trace_resid = float(ones @ (gamma_inv - params.L) @ ones)
+    trace_resid = float(ones @ (gamma_inv - l_mat) @ ones)
     structure_ok = strict_lower and abs(trace_resid) <= tol_sum * max(
         1.0, float(np.sum(1.0 / params.gamma))
     )
@@ -325,7 +329,7 @@ def validate_params(params, *, tol_null=1e-9, tol_sum=1e-9, tol_psd=1e-8):
         h_resid = k_resid = 0.0
     routing_ok = causal_supports and h_resid <= tol_sum and k_resid <= tol_sum
 
-    target = 2.0 * gamma_inv - params.L - params.L.T
+    target = 2.0 * gamma_inv - l_mat - l_mat.T
     resid = target - params.M @ params.M.T - params.W
     lmi_min = float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[0])
     contraction_ok = lmi_min >= -tol_psd * max(1.0, float(np.max(np.abs(target))))

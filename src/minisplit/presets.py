@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, StepSizeViolationError
-from .graphs import build_graph, graph_laplacian, is_connected
+from .graphs import graph_laplacian, is_connected
 from .params import SplittingParams, factor_laplacian, forward_penalty, from_components
 from .schedule import CausalPair
 
@@ -22,15 +22,14 @@ PRESET_NAMES = ("dy", "drs", "graph-drs", "gfb", "rfb", "sdy", "agfb", "sfb+")
 class MethodDescriptor:
     """A named, validated method instance.
 
-    ``lifted`` marks methods meant to iterate in the lifted form; those carry
-    the coupling laplacian explicitly. ``edge_order`` (per-edge forward
-    methods) lists the directed edges in forward-oracle order so problem
-    generators can align their smooth blocks.
+    A ``laplacian`` (the coupling laplacian M M^T) makes the method run in
+    the lifted form; without one it runs in the minimal form. ``edge_order``
+    (per-edge forward methods) lists the directed edges in forward-oracle
+    order so problem generators can align their smooth blocks.
     """
 
     name: str
     params: SplittingParams
-    lifted: bool = False
     laplacian: Optional[np.ndarray] = None
     notes: str = ""
     edge_order: Optional[tuple] = None
@@ -218,13 +217,7 @@ def agfb_params(g, beta_edges, theta=0.9):
     return MethodDescriptor(
         name="aGFB",
         params=params,
-        lifted=True,
         laplacian=lap,
         notes=f"per-edge forwards on {g.edges}",
         edge_order=order,
     )
-
-
-def graph_builders(kind, n):
-    """Stable named graph constructors (ring, path, complete)."""
-    return build_graph(kind, n)

@@ -1,6 +1,8 @@
 """Anderson-accelerated runs: oracle frugality, the safeguard, the reported
 point, and the reference solutions built on them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,13 +161,26 @@ class TestPlainPathUnchanged:
     def test_lifted_form_through_execute(self, tmp_path):
         prob = gen_toy_problem(ToyProblemConfig(seed=1, hetero=True))
         desc = method_for_problem("sfb+", prob, design_seed=1)
-        assert desc.lifted
+        assert desc.laplacian is not None
         a = execute(desc, prob, 80, trace=True)
         b = execute(desc, prob, 80, trace=True, accelerate=False)
         self._assert_same(a, b, tmp_path)
         c = run_lifted(desc.laplacian, desc.params.causal, desc.params.beta, desc.params.theta,
                        prob, max_iters=80, rel_stop=1e-14, trace=True, accelerate=False)
         self._assert_same(a, c, tmp_path)
+        # without a laplacian the same descriptor runs in minimal form
+        minimal = dataclasses.replace(desc, laplacian=None)
+        d = execute(minimal, prob, 80, trace=True)
+        e = run(desc.params, prob, max_iters=80, rel_stop=1e-14, trace=True)
+        self._assert_same(d, e, tmp_path)
+        # agfb carries its graph laplacian and runs in lifted form too
+        prob = gen_toy_problem(ToyProblemConfig(seed=2, m=10, hetero=True))
+        desc = method_for_problem("agfb", prob, design_seed=2)
+        assert desc.laplacian is not None
+        f = execute(desc, prob, 80, trace=True)
+        g = run_lifted(desc.laplacian, desc.params.causal, desc.params.beta, desc.params.theta,
+                       prob, max_iters=80, rel_stop=1e-14, trace=True)
+        self._assert_same(f, g, tmp_path)
 
     @staticmethod
     def _assert_same(a, b, tmp_path):

@@ -133,12 +133,39 @@ class TestRun:
 
 
 class TestRunLifted:
-    def test_invalid_initialization_rejected(self):
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            pytest.param("asymmetric-laplacian", "symmetric", id="asymmetric-laplacian"),
+            pytest.param("ones-not-annihilated", "all-ones", id="ones-not-annihilated"),
+            pytest.param("disconnected-laplacian", "rank n-1", id="disconnected-laplacian"),
+            pytest.param("theta-above-one", "theta", id="theta-above-one"),
+            pytest.param("w0-wrong-shape", "shape", id="w0-wrong-shape"),
+            pytest.param("w0-nonzero-sum", "zero block sum", id="w0-nonzero-sum"),
+            pytest.param("extra-resolvent", "do not match", id="extra-resolvent"),
+        ],
+    )
+    def test_invalid_initialization_rejected(self, case, message):
         params = random_params(5, n=3, m=0)
         lap = params.M @ params.M.T
-        prob = _zero_problem(3, 2)
-        with pytest.raises(ParameterError):
-            run_lifted(lap, params.causal, params.beta, 0.9, prob, w0=np.ones((3, 2)))
+        theta, w0, prob = 0.9, None, _zero_problem(3, 2)
+        if case == "asymmetric-laplacian":
+            # zero row sums, but not symmetric
+            lap = lap + np.array([[0.0, 1.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        elif case == "ones-not-annihilated":
+            lap = lap + np.eye(3)
+        elif case == "disconnected-laplacian":
+            lap = np.zeros((3, 3))
+        elif case == "theta-above-one":
+            theta = 1.2
+        elif case == "w0-wrong-shape":
+            w0 = np.zeros((2, 2))
+        elif case == "w0-nonzero-sum":
+            w0 = np.ones((3, 2))
+        else:
+            prob = _zero_problem(4, 2)
+        with pytest.raises(ParameterError, match=message):
+            run_lifted(lap, params.causal, params.beta, theta, prob, w0=w0)
 
     def test_zero_sum_conserved_over_long_runs(self):
         rng = np.random.default_rng(6)

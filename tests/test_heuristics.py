@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minisplit.errors import ParameterError
-from minisplit.heuristics import heuristic_laplacian, optimize_routing, sfb_plus_params
+from minisplit.heuristics import optimize_routing, sfb_plus_params
 from minisplit.linalg import spectral_norm
 from minisplit.params import complete_laplacian, validate_params
 from minisplit.schedule import is_causal_pair, random_schedule, support_masks
@@ -60,11 +60,13 @@ PINNED_OBJECTIVES = [
 
 class TestHeuristicLaplacian:
     def test_matches_complete_graph(self):
-        np.testing.assert_array_equal(heuristic_laplacian(3), complete_laplacian(3))
+        np.testing.assert_array_equal(
+            complete_laplacian(3), [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+        )
 
     def test_connectivity_and_norm(self):
         for n in range(2, 9):
-            vals = np.sort(np.linalg.eigvalsh(heuristic_laplacian(n)))
+            vals = np.sort(np.linalg.eigvalsh(complete_laplacian(n)))
             assert abs(vals[1] - n) < 1e-12  # algebraic connectivity
             assert abs(vals[-1] - n) < 1e-12  # spectral norm
 

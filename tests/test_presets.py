@@ -19,7 +19,6 @@ from minisplit.presets import (
     agfb_params,
     davis_yin_params,
     gfb_params,
-    graph_builders,
     graph_drs_params,
 )
 
@@ -29,7 +28,6 @@ class TestGraphs:
         assert build_graph("path", 3).edges == ((1, 2), (2, 3))
         assert build_graph("ring", 4).edges == ((1, 2), (2, 3), (3, 4), (1, 4))
         assert build_graph("complete", 3).edges == ((1, 2), (1, 3), (2, 3))
-        assert graph_builders("path", 3).edges == ((1, 2), (2, 3))
 
     def test_orientation_enforced(self):
         with pytest.raises(ParameterError):
