@@ -55,6 +55,8 @@ from .problems import (
     gen_toy_problem,
 )
 from .prox import (
+    huber_grad,
+    huber_value,
     huber_value_grad,
     project_halfspace,
     project_simplex,

@@ -7,6 +7,7 @@ inherently sequential; independent runs may execute concurrently since all
 shared inputs are immutable.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -38,49 +39,90 @@ def extract_solution(x):
 
     At an exact fixed point all blocks agree and this equals each of them.
     """
-    return np.asarray(x, dtype=float).mean(axis=0)
+    x = np.asarray(x, dtype=float)
+    return x.sum(axis=0) / x.shape[0]
 
 
-def _sweep(problem, params, drive):
-    """One triangular sweep. ``drive`` is the (n, d) external input per row.
+def _shape_checked(oracle, d):
+    """``oracle.evaluate`` that raises :class:`ParameterError`, naming the
+    oracle, unless its output has shape (d,)."""
+    evaluate = oracle.evaluate
+
+    def call(*args):
+        out = evaluate(*args)
+        if np.shape(out) != (d,):
+            raise ParameterError(
+                f"oracle {oracle.descriptor!r} returned an output of shape "
+                f"{np.shape(out)}; expected ({d},)"
+            )
+        return out
+
+    return call
+
+
+def _sweep_plan(problem, params, check_dim=None):
+    """Per-run constants of :func:`_sweep`.
+
+    Returns ``(rows, m, gamma_col)``. Row i holds the forwards due before
+    resolvent i as ``(j, evaluate, K[j, :i])``, the views ``S[i, :i]`` and
+    ``H[i, :F_i]`` (None when empty), F_i, gamma_i as a float and the
+    resolvent's ``evaluate``; ``gamma_col`` is gamma as an (n, 1) column.
+    With ``check_dim`` every oracle output is checked to have shape
+    ``(check_dim,)``. Oracles are taken from ``problem`` as they are, so
+    wrappers around them see every call.
+    """
+    s_mat, causal = params.S, params.causal
+    h_mat, k_mat = causal.H, causal.K
+
+    def evaluate(oracle):
+        return oracle.evaluate if check_dim is None else _shape_checked(oracle, check_dim)
+
+    rows, j = [], 0
+    for i, f_i in enumerate(causal.F.tolist()):
+        due = tuple((jj, evaluate(problem.forwards[jj]), k_mat[jj, :i]) for jj in range(j, f_i))
+        j = max(j, f_i)
+        rows.append((due, s_mat[i, :i] if i else None, h_mat[i, :f_i] if f_i else None, f_i,
+                     float(params.gamma[i]), evaluate(problem.resolvents[i])))
+    m = k_mat.shape[0]
+    assert j == m, "schedule failed to consume every forward operator"
+    return tuple(rows), m, params.gamma[:, None]
+
+
+def _sweep(plan, drive):
+    """One triangular sweep along a :func:`_sweep_plan`. ``drive`` is the
+    (n, d) external input per row.
 
     Returns (x, u, a) where a_i = (resolvent input - x_i) / gamma_i recovers
     an element of the monotone operator at x_i.
     """
-    s_mat, gamma = params.S, params.gamma
-    h_mat, k_mat, f = params.causal.H, params.causal.K, params.causal.F
-    n = s_mat.shape[0]
-    m = k_mat.shape[0]
-    d = drive.shape[1]
-    x = np.zeros((n, d))
-    u = np.zeros((m, d))
-    a = np.zeros((n, d))
-    j = 0
-    for i in range(n):
-        f_i = f[i]
-        while j < f_i:
-            u[j] = problem.forwards[j].evaluate(k_mat[j, :i] @ x[:i])
-            j += 1
-        v = drive[i].copy()
-        if i:
-            v -= s_mat[i, :i] @ x[:i]
-        if f_i:
-            v -= h_mat[i, :f_i] @ u[:f_i]
-        g_i = gamma[i]
-        x[i] = problem.resolvents[i].evaluate(g_i, g_i * v)
-        a[i] = v - x[i] / g_i
-    assert j == m, "schedule failed to consume every forward operator"
-    return x, u, a
+    rows, m, gamma_col = plan
+    n, d = drive.shape
+    x = np.empty((n, d))
+    u = np.empty((m, d))
+    inputs = np.empty((n, d))
+    for i, (due, s_row, h_row, f_i, g_i, resolve) in enumerate(rows):
+        for j, forward, k_row in due:
+            u[j] = forward(k_row @ x[:i])
+        v = inputs[i]
+        if s_row is None:
+            v[:] = drive[i]
+        else:
+            np.subtract(drive[i], s_row @ x[:i], out=v)
+        if h_row is not None:
+            v -= h_row @ u[:f_i]
+        x[i] = resolve(g_i, g_i * v)
+    return x, u, inputs - x / gamma_col
 
 
 def split_step(params, problem, z):
     """One evaluation of the splitting operator in minimal form.
 
     ``z`` is the (n-1, d) state; returns (z_next, x, u). Each resolvent and
-    each forward oracle is invoked exactly once.
+    each forward oracle is invoked exactly once; an oracle output that is
+    not of shape (d,) raises :class:`ParameterError`.
     """
     z = np.asarray(z, dtype=float)
-    x, u, _ = _sweep(problem, params, params.M @ z)
+    x, u, _ = _sweep(_sweep_plan(problem, params, check_dim=z.shape[1]), params.M @ z)
     z_next = z - params.theta * (params.M.T @ x)
     return z_next, x, u
 
@@ -217,6 +259,9 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
     objective_fn = problem.objective if record_objective else None
     anderson = _Anderson() if accelerate else None
     state = state0
+    # the first sweep checks the shape of every oracle output, later ones
+    # run unchecked
+    plan = _sweep_plan(problem, params, check_dim=problem.dimension)
     t0 = time.perf_counter()
 
     fp_res, variances, objectives, elapsed = [], [], [], []
@@ -228,10 +273,13 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
     termination = "max_iters"
     initial = None
 
-    for _ in range(max_iters):
-        x_k, u_k, a_k = _sweep(problem, params, to_drive(state))
+    for k in range(max_iters):
+        x_k, u_k, a_k = _sweep(plan, to_drive(state))
+        if not k:
+            plan = _sweep_plan(problem, params)
         new_state = advance(state, x_k)
-        res = float(np.linalg.norm(new_state - state)) / theta
+        step = (new_state - state).ravel()
+        res = math.sqrt(step @ step) / theta
         if anderson is None:
             state, accepted = new_state, True
         else:
@@ -245,8 +293,10 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
             objectives.append(float("nan"))
         elapsed.append((time.perf_counter() - t0) * 1e3)
         if trace:
-            x_trace.append(x_k.copy())
-            state_trace.append(state.copy())
+            # every sweep and every accepted state is a new array; only a
+            # rejected step returns a state that may already be in the trace
+            x_trace.append(x_k)
+            state_trace.append(state if accepted else state.copy())
         if not accepted:
             continue
         x, u, a = x_k, u_k, a_k
@@ -350,11 +400,18 @@ def run_lifted(
 
     The bundle is built with :func:`from_components` from a factor of the
     laplacian and S, and checked as in :func:`run`: a laplacian that is not
-    symmetric PSD with zero row sums and rank n-1, a theta outside (0, 1),
-    counts that do not match the problem, or a ``w0`` of the wrong shape or
-    with a nonzero block sum raise :class:`ParameterError`.
+    symmetric PSD with zero row sums and rank n-1, a laplacian or ``beta``
+    whose size does not match ``causal``, a theta outside (0, 1), counts that
+    do not match the problem, or a ``w0`` of the wrong shape or with a
+    nonzero block sum raise :class:`ParameterError`.
     """
     laplacian = np.asarray(laplacian, dtype=float)
+    if laplacian.shape != (causal.n, causal.n):
+        raise ParameterError(f"laplacian of shape {laplacian.shape} does not match the "
+                             f"routing's n={causal.n} resolvents")
+    if np.shape(beta) != (causal.m,):
+        raise ParameterError(f"beta of shape {np.shape(beta)} does not match the routing's "
+                             f"m={causal.m} forward operators")
     params = from_components(factor_laplacian(laplacian), laplacian + forward_penalty(causal, beta),
                              causal, beta, theta)
     _checked_bundle(params, problem)

@@ -39,9 +39,9 @@ def consensus_variance(x):
     Zero exactly when all blocks agree.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    xbar = x.mean(axis=0)
-    diff = x - xbar
-    return float(np.sum(diff * diff) / x.shape[0])
+    n = x.shape[0]
+    diff = x - x.sum(axis=0) / n
+    return float(np.sum(diff * diff) / n)
 
 
 def psd_factor(a, *, tol=1e-8, ref=None, label="matrix"):

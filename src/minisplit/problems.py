@@ -17,7 +17,8 @@ from .errors import IngestionError, ParameterError
 from .linalg import spectral_norm
 from .oracles import ForwardOracle, ProblemSpec, ResolventOracle
 from .prox import (
-    huber_value_grad,
+    huber_grad,
+    huber_value,
     project_halfspace,
     project_simplex,
     prox_norm_offset,
@@ -103,8 +104,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
             y_blk = y[idx]
 
             def grad(x, psi_blk=psi_blk, y_blk=y_blk):
-                _, g = huber_value_grad(d1, d2, psi_blk @ x - y_blk)
-                return psi_blk.T @ g
+                return psi_blk.T @ huber_grad(d1, d2, psi_blk @ x - y_blk)
 
             beta = float(spectral_norm(psi_blk @ psi_blk.T)) * _BETA_MARGIN
             if beta_override is not None:
@@ -112,7 +112,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
             forwards.append(ForwardOracle(grad, beta, descriptor=f"huber-block-{i + 1}"))
 
     def objective(x):
-        vals, _ = huber_value_grad(d1, d2, psi @ x - y)
+        vals = huber_value(d1, d2, psi @ x - y)
         return float(np.sum(np.linalg.norm(x - xi, axis=1)) + np.sum(vals))
 
     return ProblemSpec(
@@ -222,10 +222,11 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
     for idx in _even_blocks(p, m):
         sigmas.append(np.cov(returns[idx], rowvar=False) / m)
 
+    r_hat_share = r_hat / m
     forwards = []
     for i, sig in enumerate(sigmas):
         def grad(x, sig=sig):
-            return 2.0 * (sig @ x) - r_hat / m
+            return 2.0 * (sig @ x) - r_hat_share
 
         beta = 2.0 * float(spectral_norm(sig)) * _BETA_MARGIN
         if beta_override is not None:

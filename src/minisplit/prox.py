@@ -4,6 +4,8 @@ All operators act on 1-D numpy arrays (points of R^d) and are total unless
 stated otherwise.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -20,7 +22,7 @@ def prox_norm_offset(xi, tau, v):
     xi = np.asarray(xi, dtype=float)
     v = np.asarray(v, dtype=float)
     diff = v - xi
-    dist = np.linalg.norm(diff)
+    dist = math.sqrt(diff @ diff)
     if dist <= tau:
         return xi.copy()
     return v - (tau / dist) * diff
@@ -64,24 +66,36 @@ def project_halfspace(c, b, v):
     return v - (slack / nrm2) * c
 
 
-def huber_value_grad(delta1, delta2, z):
-    """Value and gradient of the flat-bottomed Huber penalty at ``z``.
+def huber_value(delta1, delta2, z):
+    """Value of the flat-bottomed Huber penalty at ``z``.
 
     Zero inside ``|z| <= delta1``, quadratic ``(|z| - delta1)^2 / 2`` in the
-    middle band, linear with slope ``delta2 - delta1`` outside. Accepts scalars
-    or arrays; the gradient is ``sign(z) * clip(|z| - delta1, 0, delta2 - delta1)``
-    and is continuous in ``z``.
+    middle band, linear with slope ``delta2 - delta1`` outside. Accepts
+    scalars (returns a float) or arrays.
     """
     if delta1 < 0 or delta1 > delta2:
         raise ParameterError("need 0 <= delta1 <= delta2")
     z = np.asarray(z, dtype=float)
     az = np.abs(z)
-    slope = delta2 - delta1
-    shifted = np.clip(az - delta1, 0.0, None)
+    shifted = np.maximum(az - delta1, 0.0)
     quad = 0.5 * shifted * shifted
-    lin = slope * az - 0.5 * (delta2 * delta2 - delta1 * delta1)
+    lin = (delta2 - delta1) * az - 0.5 * (delta2 * delta2 - delta1 * delta1)
     value = np.where(az <= delta2, quad, lin)
-    grad = np.sign(z) * np.minimum(shifted, slope)
-    if value.ndim == 0:
-        return float(value), float(grad)
-    return value, grad
+    return float(value) if value.ndim == 0 else value
+
+
+def huber_grad(delta1, delta2, z):
+    """Gradient of the flat-bottomed Huber penalty at ``z``:
+    ``sign(z) * clip(|z| - delta1, 0, delta2 - delta1)``, continuous in ``z``.
+    Accepts scalars (returns a float) or arrays.
+    """
+    if delta1 < 0 or delta1 > delta2:
+        raise ParameterError("need 0 <= delta1 <= delta2")
+    z = np.asarray(z, dtype=float)
+    grad = np.sign(z) * np.minimum(np.maximum(np.abs(z) - delta1, 0.0), delta2 - delta1)
+    return float(grad) if grad.ndim == 0 else grad
+
+
+def huber_value_grad(delta1, delta2, z):
+    """``(huber_value(delta1, delta2, z), huber_grad(delta1, delta2, z))``."""
+    return huber_value(delta1, delta2, z), huber_grad(delta1, delta2, z)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     params_for_problem,
@@ -7,10 +11,11 @@ from helpers import (
     random_params,
     three_operator_trajectory,
 )
+from minisplit import engine
 from minisplit.engine import extract_solution, run, run_lifted, split_step
 from minisplit.errors import DivergenceError, ParameterError
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
-from minisplit.params import from_components
+from minisplit.params import factor_laplacian, forward_penalty, from_components
 from minisplit.presets import davis_yin_params
 from minisplit.problems import ToyProblemConfig, gen_toy_problem
 from minisplit.schedule import CausalPair
@@ -26,6 +31,62 @@ def _identity_operator_problem(n, d):
     # A_i = Id (monotone map x -> x): resolvent v / (1 + step)
     res = tuple(ResolventOracle(lambda s, v: v / (1.0 + s), "identity-op") for _ in range(n))
     return ProblemSpec(res, (), d)
+
+
+def _reference_sweep(problem, params, drive):
+    """The sweep written out row by row: the specification that
+    ``engine._sweep`` must reproduce bit for bit."""
+    s_mat, gamma = params.S, params.gamma
+    h_mat, k_mat, f = params.causal.H, params.causal.K, params.causal.F
+    n, m, d = s_mat.shape[0], k_mat.shape[0], drive.shape[1]
+    x, u, a = np.zeros((n, d)), np.zeros((m, d)), np.zeros((n, d))
+    j = 0
+    for i in range(n):
+        f_i = f[i]
+        while j < f_i:
+            u[j] = problem.forwards[j].evaluate(k_mat[j, :i] @ x[:i])
+            j += 1
+        v = drive[i].copy()
+        if i:
+            v -= s_mat[i, :i] @ x[:i]
+        if f_i:
+            v -= h_mat[i, :f_i] @ u[:f_i]
+        g_i = gamma[i]
+        x[i] = problem.resolvents[i].evaluate(g_i, g_i * v)
+        a[i] = v - x[i] / g_i
+    assert j == m
+    return x, u, a
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6), m=st.integers(0, 4),
+           d=st.integers(1, 4), lifted=st.booleans())
+    @example(seed=1, n=4, m=0, d=3, lifted=False)
+    @example(seed=2, n=4, m=0, d=3, lifted=True)
+    @example(seed=3, n=5, m=3, d=2, lifted=False)
+    @example(seed=4, n=5, m=3, d=2, lifted=True)
+    def test_matches_reference_sweep_bitwise(self, seed, n, m, d, lifted):
+        rng = np.random.default_rng(seed)
+        params = random_params(seed, n=n, m=m)
+        problem = random_affine_problem(rng, n, m, d, beta=params.beta)
+        if lifted:
+            # the bundle and the zero-sum drive of run_lifted
+            lap = params.M @ params.M.T
+            params = from_components(factor_laplacian(lap),
+                                     lap + forward_penalty(params.causal, params.beta),
+                                     params.causal, params.beta, params.theta)
+            drive = rng.standard_normal((n, d))
+            drive -= drive.mean(axis=0)
+        else:
+            drive = params.M @ rng.standard_normal((n - 1, d))
+        got = engine._sweep(engine._sweep_plan(problem, params), drive)
+        _assert_same_bits(got, _reference_sweep(problem, params, drive))
 
 
 class TestSplitStep:
@@ -104,6 +165,57 @@ class TestRun:
         with pytest.raises(ParameterError):
             run(params, _zero_problem(4, 2), max_iters=2)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["forward-wrong-length", "forward-scalar", "resolvent-wrong-length"],
+    )
+    def test_malformed_oracle_output_named(self, case):
+        rng = np.random.default_rng(12)
+        d = 20
+        params = random_params(12, n=3, m=2)
+        prob = random_affine_problem(rng, 3, 2, d, beta=params.beta)
+        if case == "forward-wrong-length":
+            bad = ForwardOracle(lambda x: np.zeros(3), prob.forwards[1].beta, "short-forward")
+            prob = dataclasses.replace(prob, forwards=(prob.forwards[0], bad))
+        elif case == "forward-scalar":
+            bad = ForwardOracle(lambda x: 0.0, prob.forwards[1].beta, "scalar-forward")
+            prob = dataclasses.replace(prob, forwards=(prob.forwards[0], bad))
+        else:
+            bad = ResolventOracle(lambda s, v: v[:3], "short-resolvent")
+            prob = dataclasses.replace(prob, resolvents=prob.resolvents[:2] + (bad,))
+        with pytest.raises(ParameterError, match=f"'{bad.descriptor}'.*shape"):
+            run(params, prob, max_iters=5)
+
+    @staticmethod
+    def _assert_distinct(entries):
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(entries) for b in entries[i + 1:])
+
+    def test_trace_entries_are_distinct_and_kept(self):
+        rng = np.random.default_rng(13)
+        params = random_params(13, n=4, m=2)
+        prob = random_affine_problem(rng, 4, 2, 3, beta=params.beta)
+        report = run(params, prob, z0=rng.standard_normal((3, 3)), max_iters=30,
+                     rel_stop=0.0, record_objective=False, trace=True)
+        self._assert_distinct(report.x_trace)
+        self._assert_distinct(report.state_trace)
+        # each entry still holds what the run produced at its iteration
+        for k, x_k in enumerate(report.x_trace):
+            z_next, x, _ = split_step(params, prob, report.state_trace[k])
+            _assert_same_bits((x, z_next), (x_k, report.state_trace[k + 1]))
+
+    def test_rejected_accelerated_step_gets_its_own_trace_entry(self):
+        # the lying constants make the second residual rise, so the safeguard
+        # rejects it and returns the state it accepted first
+        rng = np.random.default_rng(8)
+        res = tuple(ResolventOracle(lambda s, v: v.copy(), "zero-op") for _ in range(2))
+        prob = ProblemSpec(res, (ForwardOracle(lambda x: 40.0 * x, 0.01, "liar"),), 3)
+        desc = davis_yin_params(1.0 / 0.01, 0.9, beta=np.array([0.01]))
+        report = run(desc.params, prob, z0=rng.standard_normal((1, 3)), max_iters=3,
+                     record_objective=False, trace=True, accelerate=True)
+        assert report.fp_residual[1] > report.fp_residual[0]
+        _assert_same_bits((report.state_trace[2],), (report.state_trace[1],))
+        self._assert_distinct(report.state_trace)
+
     def test_divergence_guard_trips_on_lying_constants(self):
         # forward operator is 40-Lipschitz but declares beta = 0.01, so the
         # derived steps are far too long and the affine iteration blows up
@@ -143,12 +255,16 @@ class TestRunLifted:
             pytest.param("w0-wrong-shape", "shape", id="w0-wrong-shape"),
             pytest.param("w0-nonzero-sum", "zero block sum", id="w0-nonzero-sum"),
             pytest.param("extra-resolvent", "do not match", id="extra-resolvent"),
+            pytest.param("beta-short", "beta of shape", id="beta-short"),
+            pytest.param("laplacian-too-large", "laplacian of shape", id="laplacian-too-large"),
         ],
     )
     def test_invalid_initialization_rejected(self, case, message):
-        params = random_params(5, n=3, m=0)
+        m = 3 if case == "beta-short" else 0
+        params = random_params(5, n=3, m=m)
         lap = params.M @ params.M.T
-        theta, w0, prob = 0.9, None, _zero_problem(3, 2)
+        beta = params.beta
+        theta, w0, prob = 0.9, None, _zero_problem(3, 2, m)
         if case == "asymmetric-laplacian":
             # zero row sums, but not symmetric
             lap = lap + np.array([[0.0, 1.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -162,10 +278,14 @@ class TestRunLifted:
             w0 = np.zeros((2, 2))
         elif case == "w0-nonzero-sum":
             w0 = np.ones((3, 2))
+        elif case == "beta-short":
+            beta = beta[:-1]
+        elif case == "laplacian-too-large":
+            lap = 4.0 * np.eye(4) - 1.0
         else:
             prob = _zero_problem(4, 2)
         with pytest.raises(ParameterError, match=message):
-            run_lifted(lap, params.causal, params.beta, theta, prob, w0=w0)
+            run_lifted(lap, params.causal, beta, theta, prob, w0=w0)
 
     def test_zero_sum_conserved_over_long_runs(self):
         rng = np.random.default_rng(6)

@@ -5,6 +5,8 @@ import pytest
 
 from minisplit.errors import ParameterError
 from minisplit.prox import (
+    huber_grad,
+    huber_value,
     huber_value_grad,
     project_halfspace,
     project_simplex,
@@ -105,10 +107,33 @@ class TestHuber:
         np.testing.assert_array_equal(g, 0.0)
 
     def test_rejects_bad_knees(self):
-        with pytest.raises(ParameterError):
-            huber_value_grad(2.0, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            huber_value_grad(-0.5, 1.0, 0.0)
+        for fn in (huber_value_grad, huber_grad, huber_value):
+            with pytest.raises(ParameterError):
+                fn(2.0, 1.0, 0.0)
+            with pytest.raises(ParameterError):
+                fn(-0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("d1, d2", [(0.5, 2.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)])
+    def test_split_functions_match_the_joint_formula_bitwise(self, d1, d2):
+        # the value and gradient written as one expression with np.clip, as
+        # the toy problem computed them before they were split
+        def joint(z):
+            az = np.abs(z)
+            shifted = np.clip(az - d1, 0.0, None)
+            lin = (d2 - d1) * az - 0.5 * (d2 * d2 - d1 * d1)
+            return np.where(az <= d2, 0.5 * shifted * shifted, lin), np.sign(z) * np.minimum(shifted, d2 - d1)
+
+        rng = np.random.default_rng(4)
+        edges = np.array([d1, -d1, d2, -d2, 0.0, -0.0])
+        for z in (rng.standard_normal(500) * 3, rng.uniform(-d2 - 1, d2 + 1, 500), edges,
+                  np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)):
+            value, grad = joint(z)
+            for got, want in ((huber_grad(d1, d2, z), grad), (huber_value_grad(d1, d2, z)[1], grad),
+                              (huber_value(d1, d2, z), value), (huber_value_grad(d1, d2, z)[0], value)):
+                assert got.tobytes() == want.tobytes()
+        for z in edges:
+            assert huber_grad(d1, d2, z) == float(joint(z)[1])
+            assert np.signbit(huber_grad(d1, d2, z)) == np.signbit(joint(z)[1])
 
 
 class TestSimplexProjection:
