@@ -165,6 +165,12 @@ def _problem_for(cfg, m_blocks, seed, beta_override=None):
     return gen_portfolio_problem(cfg, beta_override=beta_override), cfg
 
 
+def _require_positive(**counts):
+    for name, value in counts.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 def reference_solution(problem, iters=30_000, theta=DEFAULT_THETA, design_seed=0):
     """Optimum estimate: an Anderson-accelerated run of sfb+ on the problem.
 
@@ -173,6 +179,7 @@ def reference_solution(problem, iters=30_000, theta=DEFAULT_THETA, design_seed=0
     ``iters`` is only a cap. Returns (objective value, consensus point), both
     at the last accepted iterate.
     """
+    _require_positive(iters=iters)
     desc = method_for_problem("sfb+", problem, design_seed=design_seed, theta=theta)
     report = execute(desc, problem, iters, rel_stop=1e-13, record_objective=False, accelerate=True)
     return float(problem.objective(report.consensus)), report.consensus
@@ -220,14 +227,18 @@ def compare(
     """Compare methods over seeded repeats of a problem family.
 
     Per repeat, every method sees the same sampled data; methods with a
-    structural forward count get their own split of the smooth term and their
-    own reference solution. The residual metric defaults to the objective gap
-    for the toy family and distance-to-solution for the portfolio. Writes
-    per-run CSV/JSON artifacts plus a machine-readable ``summary.json``;
-    returns the summary dict.
+    structural forward count get their own split of the smooth term. The toy
+    objective does not depend on the split, so all methods of a toy repeat
+    share one reference solution, solved at the config's own m (at least one
+    block, so the data term is among the operators); a portfolio chunk count
+    changes the covariances, so each count gets its own. The residual metric
+    defaults to the objective gap for the toy family and distance-to-solution
+    for the portfolio. Writes per-run CSV/JSON artifacts plus a
+    machine-readable ``summary.json``; returns the summary dict.
     """
     if not methods:
         raise ParameterError("need at least one method")
+    _require_positive(repeats=repeats, iters=iters, reference_iters=reference_iters)
     os.makedirs(out_dir, exist_ok=True)
     is_toy = isinstance(problem_config, ToyProblemConfig)
     if metric is None:
@@ -246,11 +257,15 @@ def compare(
             need = required_forward_count(name, n_nodes)
             m_blocks = default_m if need is None else need
             problem, cfg = _problem_for(problem_config, m_blocks, rep_seed)
-            if m_blocks not in ref_cache:
-                ref_cache[m_blocks] = reference_solution(
-                    problem, iters=reference_iters, theta=theta, design_seed=rep_seed
+            ref_m = max(default_m, 1) if is_toy else m_blocks
+            if ref_m not in ref_cache:
+                ref_problem = problem
+                if ref_m != m_blocks:
+                    ref_problem, _ = _problem_for(problem_config, ref_m, rep_seed)
+                ref_cache[ref_m] = reference_solution(
+                    ref_problem, iters=reference_iters, theta=theta, design_seed=rep_seed
                 )
-            f_ref, x_ref = ref_cache[m_blocks]
+            f_ref, x_ref = ref_cache[ref_m]
 
             desc = method_for_problem(name, problem, design_seed=rep_seed, theta=theta)
             method_dir = os.path.join(out_dir, name.replace("+", "plus"))

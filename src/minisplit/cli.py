@@ -68,8 +68,9 @@ def _build_parser():
     p_bench.add_argument("--threshold", type=float, default=1e-5)
     p_bench.add_argument(
         "--reference-iters", type=int, default=30000,
-        help="iteration cap of each accelerated reference solve; they usually "
-        "stop at 1e-13 of their first residual well before it",
+        help="iteration cap of each accelerated reference solve (one per repeat "
+        "on toy suites, one per chunk count on portfolio); they usually stop at "
+        "1e-13 of their first residual well before it",
     )
     p_bench.add_argument("--timing", action="store_true")
     return parser

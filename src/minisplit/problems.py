@@ -83,7 +83,9 @@ def gen_toy_problem(cfg, *, beta_override=None):
     block i is the gradient of the Huber data fit restricted to its rows,
     with cocoercivity constant ||Psi_I Psi_I^T||_2, rounded up by a few ulps
     (or ``beta_override``, e.g. a uniform worst-case vector for comparison
-    runs; the declared constants must dominate the true ones).
+    runs; the declared constants must dominate the true ones). The blocks
+    partition the rows, so the optimum is the same for every m >= 1; with
+    m = 0 the operators drop the data term that the objective still counts.
     """
     psi, y, xi = toy_data(cfg)
     d1, d2 = cfg.delta1, cfg.delta2

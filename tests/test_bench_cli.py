@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from minisplit import cli
+from minisplit import bench, cli
 from minisplit.bench import (
     compare,
+    iterations_to_threshold,
     method_for_problem,
+    reference_solution,
     required_forward_count,
     run_experiment,
 )
@@ -115,6 +118,65 @@ class TestCompare:
         with pytest.raises(ParameterError):
             compare([], ToyProblemConfig(), 1, tmp_path / "c4")
 
+    @pytest.mark.parametrize("arg", ["iters", "reference_iters", "repeats"])
+    def test_counts_below_one_rejected(self, arg, tmp_path):
+        counts = {"iters": 10, "reference_iters": 10, "repeats": 1, arg: 0}
+        with pytest.raises(ParameterError, match=f"^{arg} must be at least 1"):
+            compare(["sfb+"], ToyProblemConfig(n=3, d=4, p=6, m=2), out_dir=tmp_path / "c5", **counts)
+        assert not (tmp_path / "c5").exists()
+
+    def test_reference_needs_an_iteration(self, toy):
+        _, prob = toy
+        with pytest.raises(ParameterError, match="iters"):
+            reference_solution(prob, iters=0)
+
+
+def _count_references(monkeypatch):
+    """Record the forward count of every problem compare solves a reference on."""
+    solved = []
+
+    def counted(problem, **kwargs):
+        solved.append(problem.m)
+        return reference_solution(problem, **kwargs)
+
+    monkeypatch.setattr(bench, "reference_solution", counted)
+    return solved
+
+
+class TestSharedReference:
+    @pytest.mark.parametrize("methods", [["sfb+", "gfb", "agfb"], ["gfb", "agfb", "rfb"],
+                                         ["sdy"], ["graph-drs", "sfb+randp"]])
+    def test_toy_suites_solve_one_reference_per_repeat(self, methods, monkeypatch, tmp_path):
+        solved = _count_references(monkeypatch)
+        cfg = ToyProblemConfig(n=4, d=5, p=8, m=2, seed=31, hetero=True)
+        compare(methods, cfg, 3, tmp_path / "c", iters=20, reference_iters=50)
+        assert solved == [2, 2, 2]  # at the config's own m, whatever the methods need
+
+    def test_portfolio_solves_one_reference_per_chunk_count(self, monkeypatch, tmp_path):
+        solved = _count_references(monkeypatch)
+        cfg = PortfolioProblemConfig(d=4, p=60, chunks=3, seed=1, turnover_weight=0.01)
+        compare(["sfb+", "gfb", "sdy", "agfb"], cfg, 2, tmp_path / "c", iters=5, reference_iters=20)
+        assert solved == [3, 4, 10] * 2
+
+    def test_structural_methods_match_their_own_reference(self, tmp_path):
+        # the shared reference stands in for the one each structural method's
+        # own split would give: the gaps agree to rounding, the hits exactly
+        cfg = ToyProblemConfig(n=4, d=5, p=8, m=2, seed=31)
+        summary = compare(["gfb", "agfb"], cfg, 2, tmp_path / "c", iters=300, reference_iters=3000)
+        reached = 0
+        for name, m in (("gfb", 3), ("agfb", 6)):
+            stats = summary["methods"][name]
+            for rep in range(2):
+                own_cfg = dataclasses.replace(cfg, m=m, seed=cfg.seed + rep)
+                f_own, _ = reference_solution(gen_toy_problem(own_cfg), iters=3000, design_seed=own_cfg.seed)
+                csv = tmp_path / "c" / name / f"rep{rep:03d}.csv"
+                objective = np.array([float(row.split(",")[3]) for row in csv.read_text().splitlines()[1:]])
+                gap = objective - f_own
+                assert abs(stats["final_residuals"][rep] - gap[-1]) <= 1e-12 * max(1.0, abs(f_own))
+                assert stats["iters_to_threshold"][rep] == iterations_to_threshold(gap, 1e-5)
+                reached += stats["iters_to_threshold"][rep] is not None
+        assert reached == 4
+
 
 def test_portfolio_objective_consistent_across_designs():
     # two independently designed, converged runs of the same instance settle
@@ -202,6 +264,14 @@ class TestCli:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["methods"]) == {"sfb+", "sdy"}
+
+    @pytest.mark.parametrize("flag", ["--iters", "--reference-iters", "--repeats"])
+    def test_bench_count_below_one_exits_1(self, flag, tmp_path, capsys):
+        argv = ["bench", "--suite", "toy-homo", "--methods", "sfb+", "--repeats", "1",
+                "--out", str(tmp_path / "bench"), "--iters", "10", "--reference-iters", "10"]
+        argv[argv.index(flag) + 1] = "0"
+        assert cli.main(argv) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_divergence_exit_code(self, monkeypatch, tmp_path):
         def boom(*args, **kwargs):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_params
 from minisplit.errors import NotRepresentableError, ParameterError
@@ -172,6 +174,12 @@ class TestValidation:
             assert report.passed, report.to_dict()
             assert abs(report.lmi_min_eigenvalue) <= 1e-8
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), slack_norm=st.sampled_from([0.0, 0.4]))
+    def test_every_assembled_bundle_passes(self, seed, slack_norm):
+        report = validate_params(random_params(seed, slack_norm=slack_norm))
+        assert report.passed, report.to_dict()
+
     def test_slack_bundles_pass_with_positive_margin(self):
         report = validate_params(random_params(3, n=4, m=2, slack_norm=0.7))
         assert report.passed
@@ -221,6 +229,17 @@ class TestSerialization:
             assert np.array_equal(again.beta, params.beta)
             assert again.theta == params.theta
             assert np.array_equal(again.S, params.S)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), slack_norm=st.sampled_from([0.0, 0.4]))
+    def test_json_roundtrip_bit_exact_property(self, seed, slack_norm):
+        params = random_params(seed, slack_norm=slack_norm)
+        again = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
+        for name in ("M", "S", "gamma", "beta"):
+            assert np.array_equal(getattr(again, name), getattr(params, name)), name
+        for name in ("H", "K", "F"):
+            assert np.array_equal(getattr(again.causal, name), getattr(params.causal, name)), name
+        assert again.theta == params.theta
 
     def test_resolvent_only_roundtrip(self):
         params = random_params(4, n=3, m=0)

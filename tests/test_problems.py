@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minisplit.bench import reference_solution
 from minisplit.errors import IngestionError, ParameterError
 from minisplit.problems import (
     PortfolioProblemConfig,
@@ -70,6 +73,29 @@ class TestToyProblem:
         b = toy_data(ToyProblemConfig(seed=4, m=6))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), hetero=st.booleans(),
+           m1=st.integers(1, 30), m2=st.integers(1, 30))
+    def test_objective_and_summed_forwards_are_split_invariant(self, seed, hetero, m1, m2):
+        # the forward blocks partition the Huber rows, so every split with
+        # m >= 1 poses the same problem; bench.compare shares one reference
+        a = gen_toy_problem(ToyProblemConfig(seed=seed, hetero=hetero, m=m1))
+        b = gen_toy_problem(ToyProblemConfig(seed=seed, hetero=hetero, m=m2))
+        x = np.random.default_rng(seed).standard_normal(a.dimension)
+        assert a.objective(x) == b.objective(x)
+        sum_a = sum(fwd.evaluate(x) for fwd in a.forwards)
+        sum_b = sum(fwd.evaluate(x) for fwd in b.forwards)
+        scale = max(1.0, float(np.linalg.norm(sum_a)))
+        assert np.linalg.norm(sum_a - sum_b) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_optimum_is_split_invariant(self, seed):
+        values = [reference_solution(gen_toy_problem(ToyProblemConfig(seed=seed, hetero=True, m=m)),
+                                     design_seed=seed)[0]
+                  for m in (4, 5, 10)]
+        scale = max(1.0, abs(values[0]))
+        assert max(values) - min(values) <= 1e-9 * scale, values
 
     def test_resolvents_firmly_nonexpansive(self):
         prob = gen_toy_problem(ToyProblemConfig(n=3, d=5, p=8, m=2, seed=5))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minisplit.errors import NotCausalError, ParameterError
 from minisplit.schedule import (
@@ -114,6 +116,15 @@ class TestInferSchedule:
             f_min = infer_schedule(pair.H, pair.K)
             assert np.all(f_min <= f)
             assert is_causal_pair(pair.H, pair.K, f_min)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), m=st.integers(0, 6), seed=st.integers(0, 2**31 - 1))
+    def test_recovers_the_schedule_of_a_random_pair(self, n, m, seed):
+        # random pairs fill their whole support, so the minimal schedule
+        # consistent with it is the one they were drawn for
+        f = random_schedule(n, m, seed)
+        pair = random_causal_pair(n, m, f, seed=seed)
+        np.testing.assert_array_equal(infer_schedule(pair.H, pair.K), f)
 
 
 class TestRandomCausalPair:
