@@ -57,7 +57,6 @@ from .problems import (
 from .prox import (
     huber_grad,
     huber_value,
-    huber_value_grad,
     project_halfspace,
     project_simplex,
     prox_norm_offset,

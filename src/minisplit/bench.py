@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .engine import DEFAULT_THETA, run, run_lifted
+from .engine import DEFAULT_REL_STOP, DEFAULT_THETA, run, run_lifted
 from .errors import ParameterError
 from .graphs import complete_graph, path_graph, ring_graph
 from .heuristics import sfb_plus_params
@@ -97,20 +97,17 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
         return graph_drs_params(g, g, theta=theta)
     if name in ("gfb", "rfb", "sdy"):
         coupling = {"gfb": complete_graph, "rfb": ring_graph, "sdy": path_graph}[name](n)
-        beta_val = float(np.max(problem.beta)) if m else 0.0
-        desc = gfb_params(coupling, path_graph(n), beta_val, theta=theta)
+        desc = gfb_params(coupling, path_graph(n), problem.beta, theta=theta)
         label = {"gfb": "GFB", "rfb": "RFB", "sdy": "SDY"}[name]
         return dataclasses.replace(desc, name=label)
-    if name == "agfb":
-        g = complete_graph(n)
-        order = agfb_edge_order(g)
-        beta_map = {e: float(b) for e, b in zip(order, problem.beta)}
-        return agfb_params(g, beta_map, theta=theta)
-    raise ParameterError(f"unknown method {name!r}; pick from {METHOD_NAMES}")
+    # required_forward_count has rejected every other name: this is agfb
+    g = complete_graph(n)
+    beta_map = {e: float(b) for e, b in zip(agfb_edge_order(g), problem.beta)}
+    return agfb_params(g, beta_map, theta=theta)
 
 
-def execute(method, problem, iters, *, stop=0.0, rel_stop=1e-14, record_objective=True, trace=False,
-            accelerate=False):
+def execute(method, problem, iters, *, stop=0.0, rel_stop=DEFAULT_REL_STOP, record_objective=True,
+            trace=False, accelerate=False):
     """Run a descriptor, in lifted form when it carries a laplacian.
 
     ``accelerate`` turns on the engine's safeguarded Anderson acceleration;
@@ -157,12 +154,12 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     return report
 
 
-def _problem_for(cfg, m_blocks, seed, beta_override=None):
+def _problem_for(cfg, m_blocks, seed):
     if isinstance(cfg, ToyProblemConfig):
         cfg = dataclasses.replace(cfg, m=m_blocks, seed=seed)
-        return gen_toy_problem(cfg, beta_override=beta_override), cfg
+        return gen_toy_problem(cfg), cfg
     cfg = dataclasses.replace(cfg, chunks=m_blocks, seed=seed)
-    return gen_portfolio_problem(cfg, beta_override=beta_override), cfg
+    return gen_portfolio_problem(cfg), cfg
 
 
 def _require_positive(**counts):
@@ -171,16 +168,17 @@ def _require_positive(**counts):
             raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
-def reference_solution(problem, iters=30_000, theta=DEFAULT_THETA, design_seed=0):
+def reference_solution(problem, iters=30_000, design_seed=0):
     """Optimum estimate: an Anderson-accelerated run of sfb+ on the problem.
 
-    The run stops once its residual falls to 1e-13 of the first one, which
-    the acceleration usually reaches in a few thousand iterations or fewer;
-    ``iters`` is only a cap. Returns (objective value, consensus point), both
+    The sfb+ design uses ``DEFAULT_THETA`` and the schedule drawn from
+    ``design_seed``. The run stops once its residual falls to 1e-13 of the
+    first one, which the acceleration usually reaches in a few thousand
+    iterations or fewer; ``iters`` is only a cap. Returns (objective value, consensus point), both
     at the last accepted iterate.
     """
     _require_positive(iters=iters)
-    desc = method_for_problem("sfb+", problem, design_seed=design_seed, theta=theta)
+    desc = method_for_problem("sfb+", problem, design_seed=design_seed)
     report = execute(desc, problem, iters, rel_stop=1e-13, record_objective=False, accelerate=True)
     return float(problem.objective(report.consensus)), report.consensus
 
@@ -220,9 +218,7 @@ def compare(
     threshold=1e-5,
     iters=5000,
     reference_iters=30_000,
-    theta=DEFAULT_THETA,
     timing=False,
-    metric=None,
 ):
     """Compare methods over seeded repeats of a problem family.
 
@@ -231,9 +227,11 @@ def compare(
     objective does not depend on the split, so all methods of a toy repeat
     share one reference solution, solved at the config's own m (at least one
     block, so the data term is among the operators); a portfolio chunk count
-    changes the covariances, so each count gets its own. The residual metric
-    defaults to the objective gap for the toy family and distance-to-solution
-    for the portfolio. Writes per-run CSV/JSON artifacts plus a
+    changes the covariances, so each count gets its own. Every method runs
+    with ``DEFAULT_THETA``. The residual metric follows from the family: the
+    objective gap for the toy, whose evaluator covers every term, and the
+    distance to the reference solution for the portfolio, whose constraints
+    the evaluator cannot see. Writes per-run CSV/JSON artifacts plus a
     machine-readable ``summary.json``; returns the summary dict.
     """
     if not methods:
@@ -241,8 +239,7 @@ def compare(
     _require_positive(repeats=repeats, iters=iters, reference_iters=reference_iters)
     os.makedirs(out_dir, exist_ok=True)
     is_toy = isinstance(problem_config, ToyProblemConfig)
-    if metric is None:
-        metric = "objective" if is_toy else "distance"
+    metric = "objective" if is_toy else "distance"
     base_seed = problem_config.seed
     default_m = problem_config.m if is_toy else problem_config.chunks
     n_nodes = problem_config.n if is_toy else 5
@@ -263,11 +260,11 @@ def compare(
                 if ref_m != m_blocks:
                     ref_problem, _ = _problem_for(problem_config, ref_m, rep_seed)
                 ref_cache[ref_m] = reference_solution(
-                    ref_problem, iters=reference_iters, theta=theta, design_seed=rep_seed
+                    ref_problem, iters=reference_iters, design_seed=rep_seed
                 )
             f_ref, x_ref = ref_cache[ref_m]
 
-            desc = method_for_problem(name, problem, design_seed=rep_seed, theta=theta)
+            desc = method_for_problem(name, problem, design_seed=rep_seed)
             method_dir = os.path.join(out_dir, name.replace("+", "plus"))
             os.makedirs(method_dir, exist_ok=True)
             out_csv = os.path.join(method_dir, f"rep{rep:03d}.csv")

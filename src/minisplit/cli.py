@@ -17,7 +17,7 @@ import sys
 from .bench import METHOD_NAMES, compare, method_for_problem, run_experiment
 from .engine import DEFAULT_THETA
 from .errors import DivergenceError, IngestionError, ParameterError
-from .params import params_from_dict, validate_params
+from .params import load_params, validate_params
 from .presets import MethodDescriptor
 from .problems import PortfolioProblemConfig, ToyProblemConfig, gen_portfolio_problem, gen_toy_problem
 
@@ -77,10 +77,8 @@ def _build_parser():
 
 
 def _cmd_validate(args):
-    with open(args.params, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        params = params_from_dict(doc)
+        params = load_params(args.params)
     except ParameterError as exc:
         print(json.dumps({"passed": False, "error": str(exc)}, indent=1))
         return 1
@@ -112,9 +110,10 @@ def _cmd_run(args):
         cfg = _portfolio_config(args)
         problem = gen_portfolio_problem(cfg)
 
-    if args.method.endswith(".json") or os.path.exists(args.method):
-        with open(args.method, "r", encoding="utf-8") as fh:
-            params = params_from_dict(json.load(fh))
+    # a preset name always selects the preset, even where a file of that name exists
+    if args.method not in METHOD_NAMES and (args.method.endswith(".json")
+                                            or os.path.exists(args.method)):
+        params = load_params(args.method)
         if params.n != problem.n or params.m != problem.m:
             raise ParameterError(
                 f"params file has (n={params.n}, m={params.m}) but the problem "

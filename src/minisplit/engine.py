@@ -19,8 +19,9 @@ from .linalg import consensus_variance
 from .params import factor_laplacian, forward_penalty, from_components, validate_params
 
 #: Residuals are also compared against the first iteration's residual; the
-#: loop stops once they fall below this relative factor.
-DEFAULT_REL_STOP = 1e-10
+#: loop stops once they fall below this relative factor. The default of
+#: ``run``, ``run_lifted`` and ``bench.execute``.
+DEFAULT_REL_STOP = 1e-14
 #: Default relaxation for callers that do not pin one.
 DEFAULT_THETA = 0.9
 
@@ -136,9 +137,10 @@ class RunReport:
     state; without acceleration T(state_k) is state_{k+1}. ``objective``
     holds NaN where no evaluator was supplied (or recording was off). The
     consensus diagnostics certify the fixed-point encoding at termination:
-    all blocks close to their mean, and the recovered operator values summing
-    to zero. An accelerated run reports them, and ``final_x``, at its last
-    accepted state.
+    all blocks of ``final_x`` close to their mean (``consensus`` and
+    ``consensus_gap`` are derived from ``final_x``), and the recovered
+    operator values summing to zero. An accelerated run reports them, and
+    ``final_x``, at its last accepted state.
     """
 
     fp_residual: np.ndarray
@@ -146,17 +148,25 @@ class RunReport:
     objective: np.ndarray
     elapsed_ms: np.ndarray
     final_x: np.ndarray
-    consensus: np.ndarray
-    consensus_gap: float
     inclusion_residual: float
     termination: str
-    theta: float
     x_trace: Optional[list] = None
     state_trace: Optional[list] = None
 
     @property
     def iterations(self):
         return int(self.fp_residual.size)
+
+    @property
+    def consensus(self):
+        """Block average of ``final_x``."""
+        return extract_solution(self.final_x)
+
+    @property
+    def consensus_gap(self):
+        """Largest distance of a block of ``final_x`` from their average."""
+        x = self.final_x
+        return float(np.max(np.linalg.norm(x - self.consensus, axis=1))) if x.size else 0.0
 
     def final_record(self):
         last = self.iterations - 1
@@ -315,8 +325,6 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
             termination = "relative_stop"
             break
 
-    consensus = extract_solution(x)
-    gap = float(np.max(np.linalg.norm(x - consensus, axis=1))) if x.size else 0.0
     inclusion = float(np.linalg.norm(a.sum(axis=0) + u.sum(axis=0)))
     return RunReport(
         fp_residual=np.asarray(fp_res),
@@ -324,11 +332,8 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
         objective=np.asarray(objectives),
         elapsed_ms=np.asarray(elapsed),
         final_x=x,
-        consensus=consensus,
-        consensus_gap=gap,
         inclusion_residual=inclusion,
         termination=termination,
-        theta=theta,
         x_trace=x_trace,
         state_trace=state_trace,
     )

@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import NotRepresentableError
 
+#: Relative tolerance of :func:`psd_factor` for negative and dropped eigenvalues.
+_PSD_TOL = 1e-8
+
 
 def top_singular_triple(a):
     """Dominant singular triple (sigma, u, v) of a 2-D array.
@@ -44,14 +47,14 @@ def consensus_variance(x):
     return float(np.sum(diff * diff) / n)
 
 
-def psd_factor(a, *, tol=1e-8, ref=None, label="matrix"):
+def psd_factor(a, *, ref=None, label="matrix"):
     """Factor a symmetric PSD matrix as ``B @ B.T`` with B of full column rank.
 
     Tolerances scale with ``max(||a||, ref)``; pass ``ref`` when ``a`` is a
     residual of larger matrices so floating-point noise around zero is still
-    accepted. Eigenvalues below the scaled ``-tol`` raise
-    :class:`NotRepresentableError`; small negative ones are clamped to zero
-    and their columns dropped, so ``B`` has one column per strictly positive
+    accepted. Eigenvalues below -1e-8 times that scale raise
+    :class:`NotRepresentableError`; those up to 1e-8 times it are clamped to
+    zero and their columns dropped, so ``B`` has one column per strictly positive
     eigenvalue.
     """
     a = np.asarray(a, dtype=float)
@@ -62,9 +65,9 @@ def psd_factor(a, *, tol=1e-8, ref=None, label="matrix"):
     if not np.allclose(a, a.T, atol=1e-12 * max(scale, 1.0)):
         raise NotRepresentableError(f"{label} is not symmetric")
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    if vals[0] < -tol * scale:
+    if vals[0] < -_PSD_TOL * scale:
         raise NotRepresentableError(
             f"{label} has negative eigenvalue {vals[0]:.3e}; no PSD factorization"
         )
-    keep = vals > tol * scale
+    keep = vals > _PSD_TOL * scale
     return vecs[:, keep] * np.sqrt(vals[keep])

@@ -24,6 +24,12 @@ from .linalg import psd_factor
 from .schedule import CausalPair, is_causal_pair
 
 _RANK_RTOL = 1e-10
+#: Tolerances of ``validate_params``: the coupling null space (relative to
+#: ||M||_2), the trace identity and routing sums, and the matrix inequality
+#: (relative to its largest entry).
+_NULL_TOL = 1e-9
+_SUM_TOL = 1e-9
+_PSD_TOL = 1e-8
 
 
 def _freeze(arr):
@@ -44,11 +50,13 @@ def forward_penalty(causal, beta):
 
 @dataclass(frozen=True)
 class SplittingParams:
-    """One point of the method family, with derived matrices attached.
+    """One point of the method family; S is stored, W and gamma are derived.
 
     ``P`` is None when the bundle was rebuilt from explicit (M, S, H, K)
     components whose slack residual is indefinite; such bundles exist only to
-    be failed by ``validate_params`` and cannot be serialized.
+    be failed by ``validate_params`` and cannot be serialized. Every bundle
+    has a positive diagonal of S, theta in (0, 1) and a step matrix that
+    satisfies the trace identity; construction raises otherwise.
     """
 
     M: np.ndarray
@@ -57,14 +65,26 @@ class SplittingParams:
     beta: np.ndarray
     theta: float
     S: np.ndarray
-    gamma: np.ndarray
-    W: np.ndarray
 
     def __post_init__(self):
-        for name in ("M", "beta", "S", "gamma", "W"):
+        for name in ("M", "beta", "S"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.P is not None:
             object.__setattr__(self, "P", _freeze(self.P))
+        diag = np.diag(self.S)
+        if np.any(diag <= 1e-12):
+            bad = int(np.argmin(diag)) + 1
+            raise ParameterError(
+                f"degenerate step matrix: resolvent {bad} receives no coupling"
+            )
+        if not 0.0 < self.theta < 1.0:
+            raise ParameterError("relaxation theta must lie in (0, 1)")
+        # consistency of the trace identity, guaranteed by construction
+        ones = np.ones(self.n)
+        gamma = self.gamma
+        resid = abs(ones @ (np.diag(1.0 / gamma) + np.tril(self.S, -1)) @ ones)
+        if resid > 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
+            raise ParameterError("step matrix is inconsistent with the trace identity")
 
     @property
     def n(self):
@@ -73,6 +93,16 @@ class SplittingParams:
     @property
     def m(self):
         return self.beta.size
+
+    @property
+    def gamma(self):
+        """Per-resolvent step sizes 2 / diag(S)."""
+        return 2.0 / np.diag(self.S)
+
+    @property
+    def W(self):
+        """Forward penalty of the routing pair and beta."""
+        return forward_penalty(self.causal, self.beta)
 
     @property
     def L(self):
@@ -88,24 +118,6 @@ def _check_centering(mat, n, what):
     if mat.size and np.max(np.abs(mat.sum(axis=0))) > 1e-9 * scale:
         raise ParameterError(f"{what} must have zero column sums")
     return mat
-
-
-def _derive(s_mat, theta):
-    diag = np.diag(s_mat).copy()
-    if np.any(diag <= 1e-12):
-        bad = int(np.argmin(diag)) + 1
-        raise ParameterError(
-            f"degenerate step matrix: resolvent {bad} receives no coupling"
-        )
-    gamma = 2.0 / diag
-    if not 0.0 < theta < 1.0:
-        raise ParameterError("relaxation theta must lie in (0, 1)")
-    # consistency of the trace identity, guaranteed by construction
-    ones = np.ones(s_mat.shape[0])
-    resid = abs(ones @ (np.diag(1.0 / gamma) + np.tril(s_mat, -1)) @ ones)
-    if resid > 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
-        raise ParameterError("step matrix is inconsistent with the trace identity")
-    return gamma
 
 
 def _as_causal(causal, n, beta):
@@ -142,10 +154,8 @@ def assemble(m_mat, p_mat, causal, beta, theta):
     p_mat = _check_centering(p_mat, n, "slack factor P")
     causal, beta = _as_causal(causal, n, beta)
 
-    w_mat = forward_penalty(causal, beta)
-    s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + w_mat
-    gamma = _derive(s_mat, theta)
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, gamma, w_mat)
+    s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + forward_penalty(causal, beta)
+    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat)
 
 
 def from_components(m_mat, s_mat, causal, beta, theta):
@@ -171,8 +181,7 @@ def from_components(m_mat, s_mat, causal, beta, theta):
         )
     except NotRepresentableError:
         p_mat = None
-    gamma = _derive(s_mat, theta)
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat, gamma, w_mat)
+    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat)
 
 
 def factor_slack(s_target, m_mat, w_mat):
@@ -221,8 +230,8 @@ def factor_laplacian(lap):
     return vecs[:, 1:] * np.sqrt(np.maximum(vals[1:], 0.0))
 
 
-def random_coupling(n, interval=(-1.0, 1.0), seed=0):
-    """Random M with exact zero column sums: centered uniform draws.
+def random_coupling(n, seed=0):
+    """Random M with exact zero column sums: centered uniform(-1, 1) draws.
 
     Full column rank holds with probability one; rank-deficient draws are
     rejected and resampled from the same stream.
@@ -230,26 +239,25 @@ def random_coupling(n, interval=(-1.0, 1.0), seed=0):
     if n < 2:
         raise ParameterError("need n >= 2")
     rng = np.random.default_rng(seed)
-    lo, hi = interval
     center = np.eye(n) - np.ones((n, n)) / n
     for _ in range(100):
-        m_mat = center @ rng.uniform(lo, hi, size=(n, n - 1))
+        m_mat = center @ rng.uniform(-1.0, 1.0, size=(n, n - 1))
         sv = np.linalg.svd(m_mat, compute_uv=False)
         if sv[-1] > _RANK_RTOL * max(sv[0], 1e-300):
             return m_mat
     raise ParameterError("failed to sample a full-rank coupling factor")
 
 
-def random_slack(n, target_norm, seed=0, cols=None):
-    """Random P with zero column sums, rescaled so ||P P^T||_2 = target_norm."""
+def random_slack(n, target_norm, seed=0):
+    """Random n x (n-1) P with zero column sums, rescaled so
+    ||P P^T||_2 = target_norm (no columns when target_norm is zero)."""
     if target_norm < 0:
         raise ParameterError("target norm must be nonnegative")
-    cols = n - 1 if cols is None else cols
-    if target_norm == 0.0 or cols == 0:
+    if target_norm == 0.0 or n < 2:
         return np.zeros((n, 0))
     rng = np.random.default_rng(seed)
     center = np.eye(n) - np.ones((n, n)) / n
-    p_mat = center @ rng.uniform(-1.0, 1.0, size=(n, cols))
+    p_mat = center @ rng.uniform(-1.0, 1.0, size=(n, n - 1))
     top = np.linalg.svd(p_mat, compute_uv=False)[0]
     if top == 0.0:
         raise ParameterError("degenerate slack sample")
@@ -297,7 +305,7 @@ class ValidationReport:
         }
 
 
-def validate_params(params, *, tol_null=1e-9, tol_sum=1e-9, tol_psd=1e-8):
+def validate_params(params):
     """Report, never raise: check all four structural conditions."""
     n = params.n
     ones = np.ones(n)
@@ -309,14 +317,14 @@ def validate_params(params, *, tol_null=1e-9, tol_sum=1e-9, tol_psd=1e-8):
     null_ok = (
         params.M.shape[1] == n - 1
         and sv_ratio > _RANK_RTOL
-        and null_resid <= tol_null * m_scale
+        and null_resid <= _NULL_TOL * m_scale
     )
 
     l_mat = params.L
     strict_lower = bool(np.all(np.triu(l_mat) == 0.0))
     gamma_inv = np.diag(1.0 / params.gamma)
     trace_resid = float(ones @ (gamma_inv - l_mat) @ ones)
-    structure_ok = strict_lower and abs(trace_resid) <= tol_sum * max(
+    structure_ok = strict_lower and abs(trace_resid) <= _SUM_TOL * max(
         1.0, float(np.sum(1.0 / params.gamma))
     )
 
@@ -327,12 +335,12 @@ def validate_params(params, *, tol_null=1e-9, tol_sum=1e-9, tol_psd=1e-8):
         k_resid = float(np.max(np.abs(causal.K.sum(axis=1) - 1.0)))
     else:
         h_resid = k_resid = 0.0
-    routing_ok = causal_supports and h_resid <= tol_sum and k_resid <= tol_sum
+    routing_ok = causal_supports and h_resid <= _SUM_TOL and k_resid <= _SUM_TOL
 
     target = 2.0 * gamma_inv - l_mat - l_mat.T
     resid = target - params.M @ params.M.T - params.W
     lmi_min = float(np.linalg.eigvalsh((resid + resid.T) / 2.0)[0])
-    contraction_ok = lmi_min >= -tol_psd * max(1.0, float(np.max(np.abs(target))))
+    contraction_ok = lmi_min >= -_PSD_TOL * max(1.0, float(np.max(np.abs(target))))
 
     return ValidationReport(
         null_space_ok=null_ok,

@@ -1,8 +1,7 @@
 """Named special cases of the method family.
 
 Every constructor returns a :class:`MethodDescriptor` whose parameter bundle
-passes validation. Preset identifiers used by the CLI:
-``dy, drs, graph-drs, gfb, rfb, sdy, agfb, sfb+``.
+passes validation. The CLI's method identifiers are ``bench.METHOD_NAMES``.
 """
 
 from dataclasses import dataclass
@@ -15,29 +14,20 @@ from .graphs import graph_laplacian, is_connected
 from .params import SplittingParams, factor_laplacian, forward_penalty, from_components
 from .schedule import CausalPair
 
-PRESET_NAMES = ("dy", "drs", "graph-drs", "gfb", "rfb", "sdy", "agfb", "sfb+")
-
 
 @dataclass(frozen=True)
 class MethodDescriptor:
     """A named, validated method instance.
 
     A ``laplacian`` (the coupling laplacian M M^T) makes the method run in
-    the lifted form; without one it runs in the minimal form. ``edge_order``
-    (per-edge forward methods) lists the directed edges in forward-oracle
-    order so problem generators can align their smooth blocks.
+    the lifted form; without one it runs in the minimal form. Per-edge
+    forward methods order their forward oracles by :func:`agfb_edge_order`.
     """
 
     name: str
     params: SplittingParams
     laplacian: Optional[np.ndarray] = None
     notes: str = ""
-    edge_order: Optional[tuple] = None
-
-
-def _pair_matrix(n):
-    # the only coupling pattern available with two resolvents
-    return np.array([[1.0], [-1.0]])
 
 
 def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9):
@@ -72,7 +62,7 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9)
         )
 
     lam = np.sqrt(theta_bar / gamma)
-    m_mat = lam * _pair_matrix(2)
+    m_mat = lam * np.array([[1.0], [-1.0]])  # the only coupling with two resolvents
     m = beta.size
     if m:
         h_mat = np.vstack([np.zeros(m), np.ones(m)])
@@ -219,5 +209,4 @@ def agfb_params(g, beta_edges, theta=0.9):
         params=params,
         laplacian=lap,
         notes=f"per-edge forwards on {g.edges}",
-        edge_order=order,
     )

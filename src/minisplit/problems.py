@@ -8,6 +8,7 @@ keeps the underlying problem data identical.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,7 +160,8 @@ def synthetic_returns(p, d, seed):
 
 
 def load_returns_csv(path, *, expected_days=None, expected_assets=None):
-    """Parse a returns CSV (one row per day); malformed cells are located."""
+    """Parse a returns CSV (one row per day); malformed and non-finite cells
+    are located by row and column."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for r_idx, row in enumerate(csv.reader(fh), start=1):
@@ -168,11 +170,16 @@ def load_returns_csv(path, *, expected_days=None, expected_assets=None):
             parsed = []
             for c_idx, cell in enumerate(row, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: row {r_idx}, column {c_idx}: not a number: {cell!r}"
                     )
+                if not math.isfinite(value):
+                    raise IngestionError(
+                        f"{path}: row {r_idx}, column {c_idx}: not a finite number: {cell!r}"
+                    )
+                parsed.append(value)
             if rows and len(parsed) != len(rows[0]):
                 raise IngestionError(
                     f"{path}: row {r_idx}: expected {len(rows[0])} columns, got {len(parsed)}"
@@ -192,7 +199,7 @@ def load_returns_csv(path, *, expected_days=None, expected_assets=None):
     return data
 
 
-def gen_portfolio_problem(cfg, *, beta_override=None):
+def gen_portfolio_problem(cfg):
     """Build the portfolio inclusion problem: n = 5 resolvents, m = chunks.
 
     The five nonsmooth terms are the turnover penalty, the simplex constraint
@@ -200,10 +207,16 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
     portfolio. The quadratic risk-return term is split into per-chunk
     covariance gradients scaled so their sum approximates the full-sample
     quadratic; each declares twice the spectral norm of its covariance,
-    rounded up by a few ulps so it dominates the true constant.
+    rounded up by a few ulps so it dominates the true constant. Returns read
+    from ``cfg.data`` need at least two asset columns and two rows per chunk,
+    as the synthetic configuration does; otherwise :class:`IngestionError`.
     """
     if cfg.data is not None:
-        returns = load_returns_csv(cfg.data, expected_assets=None)
+        returns = load_returns_csv(cfg.data)
+        if returns.shape[1] < 2:
+            raise IngestionError(
+                f"{cfg.data}: need at least two asset columns, found {returns.shape[1]}"
+            )
         if returns.shape[0] < 2 * cfg.chunks:
             raise IngestionError("not enough rows for the requested chunk count")
         d = returns.shape[1]
@@ -231,8 +244,6 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
             return 2.0 * (sig @ x) - r_hat_share
 
         beta = 2.0 * float(spectral_norm(sig)) * _BETA_MARGIN
-        if beta_override is not None:
-            beta = float(beta_override[i])
         forwards.append(ForwardOracle(grad, beta, descriptor=f"risk-chunk-{i + 1}"))
 
     w_to = cfg.turnover_weight
@@ -243,10 +254,8 @@ def gen_portfolio_problem(cfg, *, beta_override=None):
         ),
         ResolventOracle(lambda step, v: project_simplex(v), descriptor="simplex"),
     ]
-    bounds = []
     for j, (c_vec, z) in enumerate(zip(carbon, cfg.zeta)):
         b = (1.0 - z) * float(c_vec @ x0)
-        bounds.append(b)
         resolvents.append(
             ResolventOracle(
                 (lambda c_vec=c_vec, b=b: lambda step, v: project_halfspace(c_vec, b, v))(),

@@ -95,7 +95,3 @@ def huber_grad(delta1, delta2, z):
     grad = np.sign(z) * np.minimum(np.maximum(np.abs(z) - delta1, 0.0), delta2 - delta1)
     return float(grad) if grad.ndim == 0 else grad
 
-
-def huber_value_grad(delta1, delta2, z):
-    """``(huber_value(delta1, delta2, z), huber_grad(delta1, delta2, z))``."""
-    return huber_value(delta1, delta2, z), huber_grad(delta1, delta2, z)

@@ -151,29 +151,21 @@ class CausalPair:
         return CausalPair(np.zeros((n, 0)), np.zeros((0, n)), np.zeros(n, dtype=int))
 
 
-def random_causal_pair(n, m, f, intervals=((0.5, 1.5), (0.5, 1.5)), seed=0):
+def random_causal_pair(n, m, f, seed=0):
     """Random causal pair: sample, zero the complements, normalize the sums.
 
-    ``intervals`` gives the (low, high) sampling ranges for H and K entries;
-    both must be bounded away from zero so normalization is well defined.
-    Deterministic per seed.
+    H and K entries are drawn uniformly from [0.5, 1.5), bounded away from
+    zero so normalization is well defined. Deterministic per seed.
     """
     f = np.asarray(f, dtype=int)
     if not is_valid_schedule(f, n, m):
         raise NotCausalError(f"invalid schedule {f.tolist()} for n={n}, m={m}")
     if m == 0:
         return CausalPair.empty(n)
-    try:
-        (h_lo, h_hi), (k_lo, k_hi) = intervals
-    except (TypeError, ValueError):
-        h_lo, h_hi = intervals
-        k_lo, k_hi = intervals
-    if h_lo <= 0 or k_lo <= 0:
-        raise ParameterError("sampling intervals must be positive")
 
     rng = np.random.default_rng(seed)
-    h = rng.uniform(h_lo, h_hi, size=(n, m))
-    k = rng.uniform(k_lo, k_hi, size=(m, n))
+    h = rng.uniform(0.5, 1.5, size=(n, m))
+    k = rng.uniform(0.5, 1.5, size=(m, n))
     h_mask, k_mask = support_masks(f, m)
     h[~h_mask] = 0.0
     k[~k_mask] = 0.0

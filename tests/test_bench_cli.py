@@ -292,3 +292,29 @@ class TestCli:
             "--seed", "0", "--out", str(tmp_path / "o.csv"), "--data", str(data),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1,0.2\n0.3,nan\n" * 5, "row 2, column 2: not a finite number"),
+        ("0.1,inf\n0.3,0.2\n" * 5, "row 1, column 2: not a finite number"),
+        ("0.1\n-0.2\n" * 5, "at least two asset columns, found 1"),
+    ], ids=["nan", "inf", "one-column"])
+    def test_bad_returns_values_are_io_errors(self, text, message, tmp_path, capsys):
+        data = tmp_path / "f.csv"
+        data.write_text(text)
+        code = cli.main([
+            "run", "--problem", "portfolio", "--method", "gfb", "--iters", "5",
+            "--seed", "0", "--out", str(tmp_path / "o.csv"), "--data", str(data),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_preset_name_wins_over_a_path_of_that_name(self, tmp_path, monkeypatch):
+        # `minisplit bench --out .` leaves a gfb/ directory behind
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gfb").mkdir()
+        code = cli.main([
+            "run", "--problem", "toy", "--method", "gfb", "--iters", "10",
+            "--seed", "0", "--out", "g.csv", "--n", "3", "--d", "5", "--p", "6", "--m", "2",
+        ])
+        assert code == 0
+        assert json.loads((tmp_path / "g.json").read_text())["method"]["name"] == "GFB"

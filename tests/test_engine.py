@@ -121,6 +121,20 @@ class TestSplitStep:
             assert np.max(np.abs(x - xs[k])) < 1e-10
             assert np.max(np.abs(gamma * lam * zc[0] - zs[k])) < 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 8), m=st.integers(0, 6),
+           slack_norm=st.sampled_from([0.0, 0.5]))
+    def test_nonexpansive_on_every_admissible_bundle(self, seed, n, m, slack_norm):
+        # criterion 3 checks this on 20 fixed seeds
+        params = random_params(seed, n=n, m=m, slack_norm=slack_norm)
+        rng = np.random.default_rng(seed)
+        prob = random_affine_problem(rng, n, m, 4, beta=params.beta)
+        for _ in range(5):
+            za, zb = rng.standard_normal((2, n - 1, 4))
+            ta, _, _ = split_step(params, prob, za)
+            tb, _, _ = split_step(params, prob, zb)
+            assert np.linalg.norm(ta - tb) <= (1.0 + 1e-9) * np.linalg.norm(za - zb)
+
     def test_each_oracle_called_exactly_once(self):
         for seed in range(5):
             params = random_params(seed, n=4, m=3)

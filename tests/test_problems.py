@@ -113,10 +113,10 @@ class TestToyProblem:
         cfg = ToyProblemConfig(n=3, d=4, p=5, m=2, seed=7)
         psi, y, xi = toy_data(cfg)
         prob = gen_toy_problem(cfg)
-        from minisplit.prox import huber_value_grad
+        from minisplit.prox import huber_value
 
         x = np.random.default_rng(3).standard_normal(4)
-        vals, _ = huber_value_grad(cfg.delta1, cfg.delta2, psi @ x - y)
+        vals = huber_value(cfg.delta1, cfg.delta2, psi @ x - y)
         direct = sum(np.linalg.norm(x - xi[i]) for i in range(3)) + vals.sum()
         assert abs(prob.objective(x) - direct) < 1e-12
 
@@ -223,6 +223,20 @@ class TestPortfolioProblem:
         path.write_text("0.1,0.2\n0.3,oops\n")
         with pytest.raises(IngestionError, match=r"row 2, column 2"):
             load_returns_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_cell_located(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.1,0.2\n0.3,{cell}\n")
+        with pytest.raises(IngestionError, match=r"row 2, column 2: not a finite number"):
+            load_returns_csv(path)
+
+    def test_csv_needs_two_asset_columns(self, tmp_path):
+        path = tmp_path / "one.csv"
+        np.savetxt(path, synthetic_returns(24, 1, seed=8), delimiter=",")
+        cfg = PortfolioProblemConfig(chunks=3, seed=9, data=str(path))
+        with pytest.raises(IngestionError, match="at least two asset columns, found 1"):
+            gen_portfolio_problem(cfg)
 
     def test_csv_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

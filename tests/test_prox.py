@@ -7,7 +7,6 @@ from minisplit.errors import ParameterError
 from minisplit.prox import (
     huber_grad,
     huber_value,
-    huber_value_grad,
     project_halfspace,
     project_simplex,
     prox_norm_offset,
@@ -74,22 +73,22 @@ class TestProxNormOffset:
 
 class TestHuber:
     def test_branch_values(self):
-        assert huber_value_grad(1, 3, 0.5) == (0.0, 0.0)
-        assert huber_value_grad(1, 3, 2.0) == (0.5, 1.0)
+        assert (huber_value(1, 3, 0.5), huber_grad(1, 3, 0.5)) == (0.0, 0.0)
+        assert (huber_value(1, 3, 2.0), huber_grad(1, 3, 2.0)) == (0.5, 1.0)
         # linear branch: (3-1)*5 - (9-1)/2 = 6, slope 2
-        assert huber_value_grad(1, 3, 5.0) == (6.0, 2.0)
+        assert (huber_value(1, 3, 5.0), huber_grad(1, 3, 5.0)) == (6.0, 2.0)
 
     def test_continuity_at_knees(self):
         for z in (1.0, 3.0):
-            below = huber_value_grad(1, 3, z - 1e-9)[0]
-            above = huber_value_grad(1, 3, z + 1e-9)[0]
+            below = huber_value(1, 3, z - 1e-9)
+            above = huber_value(1, 3, z + 1e-9)
             assert abs(below - above) < 1e-8
 
     def test_even_in_z(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal(100) * 4
-        v_pos, g_pos = huber_value_grad(0.5, 2.0, z)
-        v_neg, g_neg = huber_value_grad(0.5, 2.0, -z)
+        v_pos, g_pos = huber_value(0.5, 2.0, z), huber_grad(0.5, 2.0, z)
+        v_neg, g_neg = huber_value(0.5, 2.0, -z), huber_grad(0.5, 2.0, -z)
         np.testing.assert_array_equal(v_pos, v_neg)
         np.testing.assert_array_equal(g_pos, -g_neg)
 
@@ -97,17 +96,18 @@ class TestHuber:
         rng = np.random.default_rng(3)
         z = rng.uniform(-6, 6, 1000)
         step = 1e-6
-        _, g = huber_value_grad(1.0, 3.0, z)
-        fd = (huber_value_grad(1.0, 3.0, z + step)[0] - huber_value_grad(1.0, 3.0, z - step)[0]) / (2 * step)
+        g = huber_grad(1.0, 3.0, z)
+        fd = (huber_value(1.0, 3.0, z + step) - huber_value(1.0, 3.0, z - step)) / (2 * step)
         np.testing.assert_allclose(g, fd, atol=1e-5)
 
     def test_degenerate_knees_give_zero_function(self):
-        v, g = huber_value_grad(1.0, 1.0, np.array([-5.0, 0.3, 7.0]))
+        z = np.array([-5.0, 0.3, 7.0])
+        v, g = huber_value(1.0, 1.0, z), huber_grad(1.0, 1.0, z)
         np.testing.assert_array_equal(v, 0.0)
         np.testing.assert_array_equal(g, 0.0)
 
     def test_rejects_bad_knees(self):
-        for fn in (huber_value_grad, huber_grad, huber_value):
+        for fn in (huber_grad, huber_value):
             with pytest.raises(ParameterError):
                 fn(2.0, 1.0, 0.0)
             with pytest.raises(ParameterError):
@@ -128,8 +128,7 @@ class TestHuber:
         for z in (rng.standard_normal(500) * 3, rng.uniform(-d2 - 1, d2 + 1, 500), edges,
                   np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)):
             value, grad = joint(z)
-            for got, want in ((huber_grad(d1, d2, z), grad), (huber_value_grad(d1, d2, z)[1], grad),
-                              (huber_value(d1, d2, z), value), (huber_value_grad(d1, d2, z)[0], value)):
+            for got, want in ((huber_grad(d1, d2, z), grad), (huber_value(d1, d2, z), value)):
                 assert got.tobytes() == want.tobytes()
         for z in edges:
             assert huber_grad(d1, d2, z) == float(joint(z)[1])
