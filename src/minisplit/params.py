@@ -375,17 +375,32 @@ def params_to_dict(params):
 
 
 def params_from_dict(doc):
-    """Rebuild a bundle from its serialized form (exact on all stored fields)."""
-    n = int(doc["n"])
-    m = int(doc["m"])
-    f = np.asarray(doc["F"], dtype=int)
-    m_mat = np.asarray(doc["M"], dtype=float).reshape(n, n - 1)
-    p_flat = np.asarray(doc["P"], dtype=float)
-    p_mat = p_flat.reshape(n, -1) if p_flat.size else np.zeros((n, 0))
-    h_mat = np.asarray(doc["H"], dtype=float).reshape(n, m)
-    k_mat = np.asarray(doc["K"], dtype=float).reshape(m, n)
-    causal = CausalPair(h_mat, k_mat, f)
-    return assemble(m_mat, p_mat, causal, np.asarray(doc["beta"], dtype=float), float(doc["theta"]))
+    """Rebuild a bundle from its serialized form (exact on all stored fields).
+
+    A missing key, or a field that does not hold the numbers (n, m) call for,
+    raises :class:`ParameterError` naming it.
+    """
+    if not isinstance(doc, dict):
+        raise ParameterError("params document must be a JSON object")
+    missing = [key for key in ("n", "m", "F", "M", "P", "H", "K", "theta", "beta") if key not in doc]
+    if missing:
+        raise ParameterError(f"params document lacks {', '.join(missing)}")
+    try:
+        n, m = int(doc["n"]), int(doc["m"])
+    except (TypeError, ValueError):
+        raise ParameterError("params fields n and m must be integers") from None
+
+    def field(key, shape, dtype=float):
+        try:
+            return np.asarray(doc[key], dtype=dtype).reshape(shape)
+        except (TypeError, ValueError):
+            dims = " x ".join("k" if size == -1 else str(size) for size in shape)
+            what = f"{dims} numbers" if dims else "one number"
+            raise ParameterError(f"params field {key} must hold {what} for n={n}, m={m}") from None
+
+    causal = CausalPair(field("H", (n, m)), field("K", (m, n)), field("F", (n,), int))
+    return assemble(field("M", (n, n - 1)), field("P", (n, -1)), causal,
+                    field("beta", (m,)), float(field("theta", ())))
 
 
 def save_params(params, path):

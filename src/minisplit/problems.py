@@ -208,8 +208,9 @@ def gen_portfolio_problem(cfg):
     covariance gradients scaled so their sum approximates the full-sample
     quadratic; each declares twice the spectral norm of its covariance,
     rounded up by a few ulps so it dominates the true constant. Returns read
-    from ``cfg.data`` need at least two asset columns and two rows per chunk,
-    as the synthetic configuration does; otherwise :class:`IngestionError`.
+    from ``cfg.data`` need at least two asset columns, two rows per chunk
+    (as the synthetic configuration does) and finite chunk covariances;
+    otherwise :class:`IngestionError`.
     """
     if cfg.data is not None:
         returns = load_returns_csv(cfg.data)
@@ -234,8 +235,14 @@ def gen_portfolio_problem(cfg):
     m = cfg.chunks
 
     sigmas = []
-    for idx in _even_blocks(p, m):
-        sigmas.append(np.cov(returns[idx], rowvar=False) / m)
+    for i, idx in enumerate(_even_blocks(p, m)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig = np.cov(returns[idx], rowvar=False) / m
+        if not np.all(np.isfinite(sig)):
+            raise IngestionError(
+                f"{cfg.data}: covariance of chunk {i + 1} is not finite; the returns are too large"
+            )
+        sigmas.append(sig)
 
     r_hat_share = r_hat / m
     forwards = []

@@ -14,7 +14,7 @@ from minisplit.bench import (
     run_experiment,
 )
 from minisplit.errors import DivergenceError, ParameterError
-from minisplit.params import params_from_dict, save_params
+from minisplit.params import params_from_dict, params_to_dict, save_params
 from minisplit.problems import PortfolioProblemConfig, ToyProblemConfig, gen_toy_problem
 
 
@@ -205,6 +205,21 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         assert cli.main(["validate", "--params", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_params_document_exits_1(self, command, toy, tmp_path, capsys):
+        _, prob = toy
+        doc = params_to_dict(method_for_problem("sfb+", prob, design_seed=3).params)
+        doc["M"] = doc["M"][:2]
+        for bad_doc, message in (({"n": 4}, "lacks m, F"), (doc, "field M must hold 4 x 3")):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(bad_doc))
+            argv = ["validate", "--params", str(bad)] if command == "validate" else [
+                "run", "--problem", "toy", "--method", str(bad), "--iters", "5",
+                "--out", str(tmp_path / "o.csv"), "--n", "4", "--d", "6", "--p", "8", "--m", "3",
+            ]
+            assert cli.main(argv) == 1
+            assert message in "".join(capsys.readouterr())
+
     def test_validate_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["validate", "--params", str(tmp_path / "absent.json")]) == 2
 
@@ -307,6 +322,16 @@ class TestCli:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_overflowing_returns_are_io_errors(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        np.savetxt(data, np.random.default_rng(0).uniform(0.5, 1.5, (8, 2)) * 1e200, delimiter=",")
+        code = cli.main([
+            "run", "--problem", "portfolio", "--method", "gfb", "--iters", "5",
+            "--seed", "0", "--out", str(tmp_path / "o.csv"), "--data", str(data),
+        ])
+        assert code == 2
+        assert "covariance of chunk 1 is not finite" in capsys.readouterr().err
 
     def test_preset_name_wins_over_a_path_of_that_name(self, tmp_path, monkeypatch):
         # `minisplit bench --out .` leaves a gfb/ directory behind

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minisplit.errors import ParameterError
-from minisplit.heuristics import optimize_routing, sfb_plus_params
+from minisplit.heuristics import ROUTING_TOL, optimize_routing, sfb_plus_params
 from minisplit.linalg import spectral_norm
 from minisplit.params import complete_laplacian, validate_params
-from minisplit.schedule import is_causal_pair, random_schedule, support_masks
+from minisplit.schedule import is_causal_pair, random_causal_pair, random_schedule, support_masks
 
 
 def grid_oracle_single_forward(beta):
@@ -155,6 +157,66 @@ class TestOptimizeRouting:
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ParameterError):
             optimize_routing(3, 2, [0, 2, 1], np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, bad):
+        with pytest.raises(ParameterError, match="beta"):
+            optimize_routing(4, 2, [0, 1, 1, 2], np.array([1.0, bad]))
+
+
+class TestRoutingCertificate:
+    @pytest.mark.parametrize("seed", range(len(PINNED_OBJECTIVES)))
+    def test_pinned_instances_converge_to_a_certified_gap(self, seed):
+        res = optimize_routing(*routing_instance(seed))
+        assert res.converged
+        assert res.lower_bound <= res.objective * (1.0 + 1e-12)
+        assert res.objective - res.lower_bound <= ROUTING_TOL * res.objective
+        assert 0 < res.iterations_used <= 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 8), m=st.integers(1, 6))
+    def test_every_feasible_pair_is_above_the_bound(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        f = random_schedule(n, m, seed)
+        beta = rng.uniform(0.1, 3.0, m)
+        res = optimize_routing(n, m, f, beta)
+        root_beta = np.sqrt(beta)[:, None]
+        for k in range(5):
+            pair = random_causal_pair(n, m, f, seed=seed + k)
+            value = spectral_norm(root_beta * (pair.K - pair.H.T))
+            assert value >= res.lower_bound * (1.0 - 1e-12)
+
+    def test_bound_holds_when_the_budget_runs_out(self):
+        # the certificate is a projection, valid at any iterate
+        n, m, f, beta = routing_instance(0)
+        full = optimize_routing(n, m, f, beta)
+        for budget in (0, 3, 10):
+            res = optimize_routing(n, m, f, beta, budget=budget)
+            assert res.iterations_used <= budget
+            assert res.lower_bound <= full.objective * (1.0 + 1e-12)
+            assert res.objective >= full.objective * (1.0 - 1e-12)
+        assert not optimize_routing(n, m, f, beta, budget=3).converged
+
+    def test_zero_beta_rows_stay_at_the_start(self):
+        # a row of X with beta = 0 is identically zero, whatever H and K hold there
+        f = np.array([0, 1, 2, 3, 3])
+        beta = np.array([1.5, 0.0, 0.7])
+        res = optimize_routing(5, 3, f, beta)
+        h_mask, k_mask = support_masks(f, 3)
+        np.testing.assert_array_equal(res.H[:, 1], np.where(h_mask[:, 1], 1.0 / h_mask[:, 1].sum(), 0.0))
+        np.testing.assert_array_equal(res.K[1], np.where(k_mask[1], 1.0 / k_mask[1].sum(), 0.0))
+        assert res.converged
+        assert is_causal_pair(res.H, res.K, f)
+
+    def test_forced_pair_is_its_own_certificate(self):
+        beta = np.array([0.7, 1.1, 0.4])
+        res = optimize_routing(2, 3, [0, 3], beta)
+        assert res.lower_bound == res.objective
+
+    def test_all_zero_beta_returns_the_start(self):
+        res = optimize_routing(4, 2, [0, 1, 1, 2], np.zeros(2))
+        assert res.objective == res.lower_bound == 0.0
+        assert res.iterations_used == 0 and res.converged
 
 
 class TestSfbPlus:

@@ -248,6 +248,24 @@ class TestSerialization:
         again = params_from_dict(doc)
         assert np.array_equal(again.S, params.S)
 
+    def test_missing_key_is_named(self):
+        with pytest.raises(ParameterError, match="lacks m, F, M, P, H, K, theta, beta"):
+            params_from_dict({"n": 3})
+
+    @pytest.mark.parametrize("key, value, shape", [
+        ("M", [1.0, -1.0], "3 x 2"),
+        ("H", [0.0, 1.0], "3 x 2"),
+        ("P", [0.1, 0.2], "3 x k"),
+        ("beta", [1.0], "2"),
+        ("F", [0, 2], "3"),
+        ("theta", "high", "one"),
+    ])
+    def test_wrongly_sized_field_is_named(self, key, value, shape):
+        doc = params_to_dict(random_params(5, n=3, m=2))
+        doc[key] = value
+        with pytest.raises(ParameterError, match=f"field {key} must hold {shape} numbers? for n=3, m=2"):
+            params_from_dict(doc)
+
     def test_unrepresentable_bundle_refuses_serialization(self):
         beta = 1.0
         m_mat = np.sqrt(0.1 / 5.0) * np.array([[1.0], [-1.0]])

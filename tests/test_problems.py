@@ -238,6 +238,13 @@ class TestPortfolioProblem:
         with pytest.raises(IngestionError, match="at least two asset columns, found 1"):
             gen_portfolio_problem(cfg)
 
+    def test_csv_overflowing_covariance_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.random.default_rng(0).uniform(0.5, 1.5, (8, 2)) * 1e200, delimiter=",")
+        cfg = PortfolioProblemConfig(chunks=4, seed=9, data=str(path))
+        with pytest.raises(IngestionError, match="covariance of chunk 1 is not finite"):
+            gen_portfolio_problem(cfg)
+
     def test_csv_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0.1,0.2\n0.3\n")
