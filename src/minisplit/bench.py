@@ -174,8 +174,9 @@ def reference_solution(problem, iters=30_000, design_seed=0):
     The sfb+ design uses ``DEFAULT_THETA`` and the schedule drawn from
     ``design_seed``. The run stops once its residual falls to 1e-13 of the
     first one, which the acceleration usually reaches in a few thousand
-    iterations or fewer; ``iters`` is only a cap. Returns (objective value, consensus point), both
-    at the last accepted iterate.
+    iterations or fewer, or as ``stalled`` where rounding keeps it above
+    that; ``iters`` is only a cap. Returns (objective value, consensus
+    point), both at the last accepted iterate.
     """
     _require_positive(iters=iters)
     desc = method_for_problem("sfb+", problem, design_seed=design_seed)

@@ -26,13 +26,21 @@ DEFAULT_REL_STOP = 1e-14
 DEFAULT_THETA = 0.9
 
 _DIVERGENCE_FACTOR = 1e6
+_EPS = float(np.finfo(float).eps)
 
 #: Memory depth of the accelerated loop: the number of past steps each
 #: extrapolation combines.
-ANDERSON_DEPTH = 5
+ANDERSON_DEPTH = 10
 #: Tikhonov weight of the extrapolation's least-squares problem, relative to
 #: the trace of its Gram matrix.
-_ANDERSON_REG = 1e-8
+_ANDERSON_REG = 1e-12
+#: An accelerated run with a relative target ends as ``stalled`` once an
+#: accepted residual is within ``_FLOOR_ULPS`` ulps of the norm of T(state)
+#: and the accepted residuals have not halved over ``_STALL_WINDOW``
+#: evaluations: rounding then keeps the residual above a target that lies
+#: below it.
+_FLOOR_ULPS = 1e4
+_STALL_WINDOW = 1000
 
 
 def extract_solution(x):
@@ -282,6 +290,8 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
     a = np.zeros_like(x)
     termination = "max_iters"
     initial = None
+    # accepted residual and evaluation at the last halving, for the stall stop
+    halved_res, halved_k = math.inf, 0
 
     for k in range(max_iters):
         x_k, u_k, a_k = _sweep(plan, to_drive(state))
@@ -324,6 +334,13 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
         if res <= rel_stop * initial:
             termination = "relative_stop"
             break
+        if anderson is not None and rel_stop > 0.0:
+            if res <= 0.5 * halved_res:
+                halved_res, halved_k = res, k
+            elif (k - halved_k >= _STALL_WINDOW
+                  and res <= _FLOOR_ULPS * _EPS * float(np.linalg.norm(new_state))):
+                termination = "stalled"
+                break
 
     inclusion = float(np.linalg.norm(a.sum(axis=0) + u.sum(axis=0)))
     return RunReport(
@@ -362,7 +379,10 @@ def run(
     state (see :class:`_Anderson`): each iteration is still one sweep that
     calls every oracle once, the stopping and divergence tests look at
     accepted residuals only, and the final diagnostics come from the last
-    accepted iterate. The x-trajectory is then no longer the method's own,
+    accepted iterate. With ``rel_stop > 0`` it also ends as ``stalled`` when
+    its residual sits at rounding level without halving for
+    ``_STALL_WINDOW`` evaluations, since it cannot reach a relative target
+    below that level. The x-trajectory is then no longer the method's own,
     so this is for computing reference solutions, not for comparing methods.
     """
     _checked_bundle(params, problem)

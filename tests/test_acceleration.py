@@ -129,6 +129,23 @@ class TestAcceleratedLoop:
             run(desc.params, prob, z0=rng.standard_normal((1, 3)), max_iters=2000,
                 record_objective=False, accelerate=True)
 
+    def test_stalls_at_rounding_level(self):
+        # rounding keeps this instance's residual about 3 times above the
+        # 1e-13-relative target, at a few ulps of the state
+        seed = 741180574
+        prob = random_affine_problem(np.random.default_rng(seed), 4, 2, 4)
+        params = params_for_problem(prob, seed)
+        report = run(params, prob, max_iters=20_000, rel_stop=1e-13, record_objective=False,
+                     accelerate=True)
+        assert report.termination == "stalled" and report.iterations < 2000
+        x_star = affine_zero(prob)
+        assert np.max(np.abs(report.final_x - x_star)) <= 1e-8 * max(1.0, np.linalg.norm(x_star))
+        # without a relative target the run goes on to its cap
+        capped = run(params, prob, max_iters=report.iterations + 100, rel_stop=0.0,
+                     record_objective=False, accelerate=True)
+        assert capped.termination == "max_iters"
+        assert capped.iterations == report.iterations + 100
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 5), m=st.integers(0, 3),
            d=st.integers(1, 4))
