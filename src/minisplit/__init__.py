@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     StepSizeViolationError,
 )
-from .graphs import GraphSpec, build_graph, complete_graph, graph_laplacian, path_graph, ring_graph
+from .graphs import GraphSpec, complete_graph, graph_laplacian, path_graph, ring_graph
 from .heuristics import RoutingResult, optimize_routing, sfb_plus_params
 from .linalg import consensus_variance, spectral_norm
 from .oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem

@@ -72,13 +72,12 @@ def _shape_checked(oracle, d):
 def _sweep_plan(problem, params, check_dim=None):
     """Per-run constants of :func:`_sweep`.
 
-    Returns ``(rows, m, gamma_col)``. Row i holds the forwards due before
-    resolvent i as ``(j, evaluate, K[j, :i])``, the views ``S[i, :i]`` and
-    ``H[i, :F_i]`` (None when empty), F_i, gamma_i as a float and the
-    resolvent's ``evaluate``; ``gamma_col`` is gamma as an (n, 1) column.
-    With ``check_dim`` every oracle output is checked to have shape
-    ``(check_dim,)``. Oracles are taken from ``problem`` as they are, so
-    wrappers around them see every call.
+    Returns ``(rows, m)``. Row i holds the forwards due before resolvent i
+    as ``(j, evaluate, K[j, :i])``, the views ``S[i, :i]`` and ``H[i, :F_i]``
+    (None when empty), F_i, gamma_i as a float and the resolvent's
+    ``evaluate``. With ``check_dim`` every oracle output is checked to have
+    shape ``(check_dim,)``. Oracles are taken from ``problem`` as they are,
+    so wrappers around them see every call.
     """
     s_mat, causal = params.S, params.causal
     h_mat, k_mat = causal.H, causal.K
@@ -94,33 +93,35 @@ def _sweep_plan(problem, params, check_dim=None):
                      float(params.gamma[i]), evaluate(problem.resolvents[i])))
     m = k_mat.shape[0]
     assert j == m, "schedule failed to consume every forward operator"
-    return tuple(rows), m, params.gamma[:, None]
+    return tuple(rows), m
 
 
 def _sweep(plan, drive):
     """One triangular sweep along a :func:`_sweep_plan`. ``drive`` is the
     (n, d) external input per row.
 
-    Returns (x, u, a) where a_i = (resolvent input - x_i) / gamma_i recovers
-    an element of the monotone operator at x_i.
+    Returns (x, u, v) where v_i is the input of resolvent i divided by
+    gamma_i, so a_i = v_i - x_i / gamma_i is an element of the i-th monotone
+    operator at x_i.
     """
-    rows, m, gamma_col = plan
+    rows, m = plan
     n, d = drive.shape
     x = np.empty((n, d))
     u = np.empty((m, d))
     inputs = np.empty((n, d))
     for i, (due, s_row, h_row, f_i, g_i, resolve) in enumerate(rows):
+        head = x[:i]
         for j, forward, k_row in due:
-            u[j] = forward(k_row @ x[:i])
+            u[j] = forward(k_row @ head)
         v = inputs[i]
         if s_row is None:
             v[:] = drive[i]
         else:
-            np.subtract(drive[i], s_row @ x[:i], out=v)
+            np.subtract(drive[i], s_row @ head, out=v)
         if h_row is not None:
             v -= h_row @ u[:f_i]
         x[i] = resolve(g_i, g_i * v)
-    return x, u, inputs - x / gamma_col
+    return x, u, inputs
 
 
 def split_step(params, problem, z):
@@ -287,14 +288,14 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
     state_trace = [state0.copy()] if trace else None
     x = np.zeros((problem.n, problem.dimension))
     u = np.zeros((problem.m, problem.dimension))
-    a = np.zeros_like(x)
+    inputs = np.zeros_like(x)
     termination = "max_iters"
     initial = None
     # accepted residual and evaluation at the last halving, for the stall stop
     halved_res, halved_k = math.inf, 0
 
     for k in range(max_iters):
-        x_k, u_k, a_k = _sweep(plan, to_drive(state))
+        x_k, u_k, inputs_k = _sweep(plan, to_drive(state))
         if not k:
             plan = _sweep_plan(problem, params)
         new_state = advance(state, x_k)
@@ -319,7 +320,7 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
             state_trace.append(state if accepted else state.copy())
         if not accepted:
             continue
-        x, u, a = x_k, u_k, a_k
+        x, u, inputs = x_k, u_k, inputs_k
 
         if initial is None:
             initial = res
@@ -342,6 +343,7 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
                 termination = "stalled"
                 break
 
+    a = inputs - x / params.gamma[:, None]
     inclusion = float(np.linalg.norm(a.sum(axis=0) + u.sum(axis=0)))
     return RunReport(
         fp_residual=np.asarray(fp_res),

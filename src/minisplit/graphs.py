@@ -75,15 +75,3 @@ def ring_graph(n):
 
 def complete_graph(n):
     return GraphSpec(n, tuple((h, i) for h in range(1, n + 1) for i in range(h + 1, n + 1)))
-
-
-_BUILDERS = {"path": path_graph, "ring": ring_graph, "complete": complete_graph}
-
-
-def build_graph(kind, n):
-    """Named builders with edges oriented low to high."""
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ParameterError(f"unknown graph kind {kind!r}; pick from {sorted(_BUILDERS)}")
-    return builder(n)

@@ -41,10 +41,12 @@ def consensus_variance(x):
     ``x`` is an (n, d) array of n points; returns (1/n) sum_i ||x_i - mean||^2.
     Zero exactly when all blocks agree.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = np.atleast_2d(x)
     n = x.shape[0]
     diff = x - x.sum(axis=0) / n
-    return float(np.sum(diff * diff) / n)
+    return float((diff * diff).sum() / n)
 
 
 def psd_factor(a, *, ref=None, label="matrix"):

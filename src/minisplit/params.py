@@ -374,21 +374,28 @@ def params_to_dict(params):
     }
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def params_from_dict(doc):
     """Rebuild a bundle from its serialized form (exact on all stored fields).
 
-    A missing key, or a field that does not hold the numbers (n, m) call for,
-    raises :class:`ParameterError` naming it.
+    A missing key, a field that does not hold the numbers (n, m) call for, or
+    an ``n``, ``m`` or ``F`` entry that is not an integer (``true`` and
+    ``3.0`` are not) raises :class:`ParameterError` naming it.
     """
     if not isinstance(doc, dict):
         raise ParameterError("params document must be a JSON object")
     missing = [key for key in ("n", "m", "F", "M", "P", "H", "K", "theta", "beta") if key not in doc]
     if missing:
         raise ParameterError(f"params document lacks {', '.join(missing)}")
-    try:
-        n, m = int(doc["n"]), int(doc["m"])
-    except (TypeError, ValueError):
-        raise ParameterError("params fields n and m must be integers") from None
+    for key in ("n", "m"):
+        if not _is_integer(doc[key]):
+            raise ParameterError(f"params field {key} must be an integer, got {doc[key]!r}")
+    n, m = doc["n"], doc["m"]
+    if isinstance(doc["F"], list) and not all(_is_integer(f) for f in doc["F"]):
+        raise ParameterError(f"params field F must hold integers, got {doc['F']!r}")
 
     def field(key, shape, dtype=float):
         try:

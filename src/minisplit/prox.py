@@ -19,8 +19,11 @@ def prox_norm_offset(xi, tau, v):
     """
     if tau <= 0:
         raise ParameterError("tau must be positive")
-    xi = np.asarray(xi, dtype=float)
-    v = np.asarray(v, dtype=float)
+    return _prox_norm_offset(np.asarray(xi, dtype=float), tau, np.asarray(v, dtype=float))
+
+
+def _prox_norm_offset(xi, tau, v):
+    """:func:`prox_norm_offset` for float arrays and ``tau > 0``, unchecked."""
     diff = v - xi
     dist = math.sqrt(diff @ diff)
     if dist <= tau:
@@ -75,13 +78,19 @@ def huber_value(delta1, delta2, z):
     """
     if delta1 < 0 or delta1 > delta2:
         raise ParameterError("need 0 <= delta1 <= delta2")
-    z = np.asarray(z, dtype=float)
+    value = _huber_value(delta1, delta2, delta2 - delta1,
+                         0.5 * (delta2 * delta2 - delta1 * delta1), np.asarray(z, dtype=float))
+    return float(value) if value.ndim == 0 else value
+
+
+def _huber_value(delta1, delta2, width, offset, z):
+    """:func:`huber_value` for a float array ``z``, unchecked; ``width`` is
+    ``delta2 - delta1`` and ``offset`` is ``(delta2**2 - delta1**2) / 2``."""
     az = np.abs(z)
     shifted = np.maximum(az - delta1, 0.0)
     quad = 0.5 * shifted * shifted
-    lin = (delta2 - delta1) * az - 0.5 * (delta2 * delta2 - delta1 * delta1)
-    value = np.where(az <= delta2, quad, lin)
-    return float(value) if value.ndim == 0 else value
+    lin = width * az - offset
+    return np.where(az <= delta2, quad, lin)
 
 
 def huber_grad(delta1, delta2, z):
@@ -91,7 +100,11 @@ def huber_grad(delta1, delta2, z):
     """
     if delta1 < 0 or delta1 > delta2:
         raise ParameterError("need 0 <= delta1 <= delta2")
-    z = np.asarray(z, dtype=float)
-    grad = np.sign(z) * np.minimum(np.maximum(np.abs(z) - delta1, 0.0), delta2 - delta1)
+    grad = _huber_grad(delta1, delta2 - delta1, np.asarray(z, dtype=float))
     return float(grad) if grad.ndim == 0 else grad
 
+
+def _huber_grad(delta1, width, z):
+    """:func:`huber_grad` for a float array ``z``, unchecked; ``width`` is
+    ``delta2 - delta1``."""
+    return np.sign(z) * np.minimum(np.maximum(np.abs(z) - delta1, 0.0), width)

@@ -190,10 +190,14 @@ def test_criterion_7_zero_slack_beats_random_slack():
         k0 = iterations_to_threshold(
             metric_series(execute(flat, problem, 4000), "objective", f_ref, x_ref), 1e-5
         )
+        if k0 is None:
+            continue
+        # a capped run is a prefix of the full one, so it hits at k1 <= k0
+        # exactly when the full run does: the verdict is unchanged
         k1 = iterations_to_threshold(
-            metric_series(execute(noisy, problem, 4000), "objective", f_ref, x_ref), 1e-5
+            metric_series(execute(noisy, problem, k0), "objective", f_ref, x_ref), 1e-5
         )
-        wins += (k0 is not None) and (k1 is None or k0 < k1)
+        wins += k1 is None
     _verdict(7, wins >= 16, f"zero slack reaches 1e-5 first in {wins}/20 seeded instances (>=16)")
 
 
@@ -212,10 +216,13 @@ def test_criterion_8_per_block_constants_beat_uniform():
         k_per = iterations_to_threshold(
             metric_series(execute(d_per, problem, 8000), "objective", f_ref, x_ref), 1e-5
         )
+        if k_per is None:
+            continue
+        # capped at k_per, as in criterion 7
         k_uni = iterations_to_threshold(
-            metric_series(execute(d_uni, uniform, 8000), "objective", f_ref, x_ref), 1e-5
+            metric_series(execute(d_uni, uniform, k_per), "objective", f_ref, x_ref), 1e-5
         )
-        wins += (k_per is not None) and (k_uni is None or k_per < k_uni)
+        wins += k_uni is None
     _verdict(
         8, wins >= 16, f"per-block constants reach 1e-5 first in {wins}/20 scaled-row instances (>=16)"
     )

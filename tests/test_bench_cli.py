@@ -220,6 +220,16 @@ class TestCli:
             assert cli.main(argv) == 1
             assert message in "".join(capsys.readouterr())
 
+    @pytest.mark.parametrize("key, value", [("n", 3.7), ("m", True), ("F", [0, 0.6, 2, 3])])
+    def test_validate_rejects_non_integer_sizes(self, key, value, toy, tmp_path, capsys):
+        _, prob = toy
+        doc = params_to_dict(method_for_problem("sfb+", prob, design_seed=3).params)
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--params", str(bad)]) == 1
+        assert f"field {key} must" in capsys.readouterr().out
+
     def test_validate_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["validate", "--params", str(tmp_path / "absent.json")]) == 2
 

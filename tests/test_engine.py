@@ -11,7 +11,7 @@ from helpers import (
     random_params,
     three_operator_trajectory,
 )
-from minisplit import engine
+from minisplit import engine, linalg
 from minisplit.engine import extract_solution, run, run_lifted, split_step
 from minisplit.errors import DivergenceError, ParameterError
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
@@ -35,11 +35,13 @@ def _identity_operator_problem(n, d):
 
 def _reference_sweep(problem, params, drive):
     """The sweep written out row by row: the specification that
-    ``engine._sweep`` must reproduce bit for bit."""
+    ``engine._sweep`` must reproduce bit for bit. Returns (x, u, v, a) with
+    v_i the input of resolvent i over gamma_i and a_i = v_i - x_i / gamma_i."""
     s_mat, gamma = params.S, params.gamma
     h_mat, k_mat, f = params.causal.H, params.causal.K, params.causal.F
     n, m, d = s_mat.shape[0], k_mat.shape[0], drive.shape[1]
-    x, u, a = np.zeros((n, d)), np.zeros((m, d)), np.zeros((n, d))
+    x, u = np.zeros((n, d)), np.zeros((m, d))
+    inputs, a = np.zeros((n, d)), np.zeros((n, d))
     j = 0
     for i in range(n):
         f_i = f[i]
@@ -53,9 +55,10 @@ def _reference_sweep(problem, params, drive):
             v -= h_mat[i, :f_i] @ u[:f_i]
         g_i = gamma[i]
         x[i] = problem.resolvents[i].evaluate(g_i, g_i * v)
+        inputs[i] = v
         a[i] = v - x[i] / g_i
     assert j == m
-    return x, u, a
+    return x, u, inputs, a
 
 
 def _assert_same_bits(got, want):
@@ -85,8 +88,10 @@ class TestSweep:
             drive -= drive.mean(axis=0)
         else:
             drive = params.M @ rng.standard_normal((n - 1, d))
-        got = engine._sweep(engine._sweep_plan(problem, params), drive)
-        _assert_same_bits(got, _reference_sweep(problem, params, drive))
+        x, u, inputs = engine._sweep(engine._sweep_plan(problem, params), drive)
+        # the expression the run loop forms its operator values with
+        a = inputs - x / params.gamma[:, None]
+        _assert_same_bits((x, u, inputs, a), _reference_sweep(problem, params, drive))
 
 
 class TestSplitStep:
@@ -342,6 +347,22 @@ class TestDiagnostics:
         report = run(params, prob, max_iters=20_000, rel_stop=1e-13)
         assert report.consensus_gap <= 1e-6
         assert report.inclusion_residual <= 1e-6
+
+    @pytest.mark.parametrize("lifted, accelerate", [(False, False), (False, True), (True, False)])
+    def test_recorded_diagnostics_equal_their_definitions_bitwise(self, lifted, accelerate):
+        prob = gen_toy_problem(ToyProblemConfig(n=4, d=6, p=10, m=3, seed=5, hetero=True))
+        params = params_for_problem(prob, 12)
+        options = dict(max_iters=300, rel_stop=1e-13, trace=True, accelerate=accelerate)
+        if lifted:
+            report = run_lifted(params.M @ params.M.T, params.causal, params.beta, params.theta,
+                                prob, **options)
+        else:
+            report = run(params, prob, **options)
+        assert report.iterations == len(report.x_trace) > 100
+        variance = [linalg.consensus_variance(x) for x in report.x_trace]
+        objective = [prob.objective(extract_solution(x)) for x in report.x_trace]
+        assert np.array(variance).tobytes() == report.variance.tobytes()
+        assert np.array(objective).tobytes() == report.objective.tobytes()
 
     def test_scaled_variance_shrinks_along_the_run(self):
         cfg = ToyProblemConfig(seed=4)

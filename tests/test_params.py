@@ -266,6 +266,16 @@ class TestSerialization:
         with pytest.raises(ParameterError, match=f"field {key} must hold {shape} numbers? for n=3, m=2"):
             params_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 3.7), ("n", 3.0), ("n", True), ("n", "3"), ("m", 2.5), ("m", False),
+        ("F", [0, 0.6, 2]), ("F", [0, 1, True]),
+    ])
+    def test_non_integer_size_is_named(self, key, value):
+        doc = params_to_dict(random_params(5, n=3, m=2))
+        doc[key] = value
+        with pytest.raises(ParameterError, match=f"field {key} must "):
+            params_from_dict(doc)
+
     def test_unrepresentable_bundle_refuses_serialization(self):
         beta = 1.0
         m_mat = np.sqrt(0.1 / 5.0) * np.array([[1.0], [-1.0]])

@@ -6,7 +6,6 @@ from minisplit.engine import run_lifted
 from minisplit.errors import ParameterError, StepSizeViolationError
 from minisplit.graphs import (
     GraphSpec,
-    build_graph,
     complete_graph,
     graph_laplacian,
     is_connected,
@@ -25,9 +24,9 @@ from minisplit.presets import (
 
 class TestGraphs:
     def test_builders(self):
-        assert build_graph("path", 3).edges == ((1, 2), (2, 3))
-        assert build_graph("ring", 4).edges == ((1, 2), (2, 3), (3, 4), (1, 4))
-        assert build_graph("complete", 3).edges == ((1, 2), (1, 3), (2, 3))
+        assert path_graph(3).edges == ((1, 2), (2, 3))
+        assert ring_graph(4).edges == ((1, 2), (2, 3), (3, 4), (1, 4))
+        assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
 
     def test_orientation_enforced(self):
         with pytest.raises(ParameterError):
@@ -43,10 +42,6 @@ class TestGraphs:
             np.testing.assert_allclose(lap @ np.ones(g.n), 0.0, atol=1e-14)
             consensus = np.outer(np.ones(g.n), np.array([1.0, -2.0]))
             np.testing.assert_allclose(lap @ consensus, 0.0, atol=1e-14)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            build_graph("star", 4)
 
 
 class TestDavisYin:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minisplit import problems
 from minisplit.bench import reference_solution
 from minisplit.errors import IngestionError, ParameterError
 from minisplit.problems import (
@@ -14,6 +17,7 @@ from minisplit.problems import (
     synthetic_returns,
     toy_data,
 )
+from minisplit.prox import huber_grad, huber_value, prox_norm_offset
 
 
 def check_firmly_nonexpansive(oracle, d, rng, pairs=1000, step_range=(0.1, 3.0)):
@@ -141,6 +145,60 @@ class TestToyProblem:
                 assert true <= fwd.beta <= true * (1.0 + 1e-14)
 
 
+class TestToyOraclesMatchPublicFunctions:
+    """The toy oracles and objective call the unchecked prox kernels with
+    constants computed once; they must give the bits of the public functions
+    composed as documented, at random points and at the knees."""
+
+    D1, D2 = 0.1, 1.9  # knees whose squares round, so a reordered offset shows
+
+    @pytest.fixture(params=[(hetero, m) for hetero in (False, True) for m in (1, 3, 5)],
+                    ids=lambda c: f"hetero={c[0]}-m={c[1]}")
+    def toy(self, request, monkeypatch):
+        """Returns (psi, y, xi, problem, points). At x = 0 the residuals
+        psi @ x - y run through -y, which holds the knees +-delta1, +-delta2,
+        +-0.0 and their neighbours."""
+        hetero, m = request.param
+        cfg = ToyProblemConfig(n=3, d=6, p=24, m=m, delta1=self.D1, delta2=self.D2, seed=11,
+                               hetero=hetero)
+        psi, y, xi = toy_data(cfg)
+        knees = np.array([self.D1, -self.D1, self.D2, -self.D2, 0.0, -0.0])
+        y[:18] = np.concatenate([knees, np.nextafter(knees, np.inf), np.nextafter(knees, -np.inf)])
+        monkeypatch.setattr(problems, "toy_data", lambda _: (psi, y, xi))
+        rng = np.random.default_rng(12)
+        points = [np.zeros(6), -np.zeros(6), *xi, *(rng.standard_normal((20, 6)) * 3)]
+        return psi, y, xi, problems.gen_toy_problem(cfg), points
+
+    def test_forwards(self, toy):
+        psi, y, _, problem, points = toy
+        blocks = np.array_split(np.arange(psi.shape[0]), problem.m)
+        for oracle, idx in zip(problem.forwards, blocks, strict=True):
+            psi_blk, y_blk = psi[idx], y[idx]
+            for x in points:
+                want = psi_blk.T @ huber_grad(self.D1, self.D2, psi_blk @ x - y_blk)
+                assert oracle.evaluate(x).tobytes() == want.tobytes()
+
+    def test_resolvents(self, toy):
+        _, _, xi, problem, points = toy
+        for oracle, anchor in zip(problem.resolvents, xi, strict=True):
+            for v in points:
+                diff = v - anchor
+                dist = math.sqrt(diff @ diff)
+                # dist itself is the knee between the two branches
+                taus = [0.3, 2.5] + ([dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)]
+                                     if dist else [])
+                for tau in taus:
+                    got = oracle.evaluate(tau, v)
+                    assert got.tobytes() == prox_norm_offset(anchor, tau, v).tobytes()
+
+    def test_objective(self, toy):
+        psi, y, xi, problem, points = toy
+        for x in points:
+            want = float(np.sum(np.linalg.norm(x - xi, axis=1))
+                         + np.sum(huber_value(self.D1, self.D2, psi @ x - y)))
+            assert np.float64(problem.objective(x)).tobytes() == np.float64(want).tobytes()
+
+
 class TestPortfolioProblem:
     def test_counts(self):
         prob = gen_portfolio_problem(PortfolioProblemConfig(seed=0))
@@ -212,7 +270,8 @@ class TestPortfolioProblem:
         r = synthetic_returns(24, 3, seed=8)
         path = tmp_path / "returns.csv"
         np.savetxt(path, r, delimiter=",")
-        loaded = load_returns_csv(path, expected_assets=3)
+        loaded = load_returns_csv(path)
+        assert loaded.shape == (24, 3)
         np.testing.assert_allclose(loaded, r, atol=1e-12)
         cfg = PortfolioProblemConfig(d=3, p=24, chunks=3, seed=9, data=str(path))
         prob = gen_portfolio_problem(cfg)
