@@ -378,12 +378,21 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _holds_only_numbers(value):
+    """True for a number or a (nested) list of numbers; booleans, strings and
+    nulls are not numbers."""
+    if isinstance(value, list):
+        return all(_holds_only_numbers(entry) for entry in value)
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def params_from_dict(doc):
     """Rebuild a bundle from its serialized form (exact on all stored fields).
 
-    A missing key, a field that does not hold the numbers (n, m) call for, or
-    an ``n``, ``m`` or ``F`` entry that is not an integer (``true`` and
-    ``3.0`` are not) raises :class:`ParameterError` naming it.
+    A missing key, a field that does not hold the numbers (n, m) call for
+    (``true`` and ``"0.5"`` are not numbers), or an ``n``, ``m`` or ``F``
+    entry that is not an integer (``3.0`` is not) raises
+    :class:`ParameterError` naming it.
     """
     if not isinstance(doc, dict):
         raise ParameterError("params document must be a JSON object")
@@ -399,6 +408,8 @@ def params_from_dict(doc):
 
     def field(key, shape, dtype=float):
         try:
+            if not _holds_only_numbers(doc[key]):
+                raise TypeError(key)
             return np.asarray(doc[key], dtype=dtype).reshape(shape)
         except (TypeError, ValueError):
             dims = " x ".join("k" if size == -1 else str(size) for size in shape)

@@ -20,10 +20,10 @@ from .oracles import ForwardOracle, ProblemSpec, ResolventOracle
 from .prox import (
     _huber_grad,
     _huber_value,
+    _project_halfspace,
+    _project_simplex,
     _prox_norm_offset,
-    project_halfspace,
-    project_simplex,
-    soft_threshold_offset,
+    _soft_threshold_offset,
 )
 
 #: Relative margin on computed cocoercivity constants (7.1e-15): the spectral
@@ -153,6 +153,10 @@ class PortfolioProblemConfig:
             raise ParameterError("zeta must be three fractions in [0, 1]")
         if self.d < 2:
             raise ParameterError("need at least two assets")
+        if not (math.isfinite(self.turnover_weight) and self.turnover_weight > 0):
+            raise ParameterError(
+                f"turnover_weight must be finite and positive, got {self.turnover_weight!r}"
+            )
 
 
 def synthetic_returns(p, d, seed):
@@ -240,28 +244,36 @@ def gen_portfolio_problem(cfg):
             )
         sigmas.append(sig)
 
+    # (2 sig) @ x scales every product and partial sum of sig @ x by a power
+    # of two, so short of subnormal products it has the bits of
+    # 2.0 * (sig @ x), with one ufunc fewer
     r_hat_share = r_hat / m
     forwards = []
     for i, sig in enumerate(sigmas):
-        def grad(x, sig=sig):
-            return 2.0 * (sig @ x) - r_hat_share
+        def grad(x, sig2=2.0 * sig):
+            return sig2 @ x - r_hat_share
 
         beta = 2.0 * float(spectral_norm(sig)) * _BETA_MARGIN
         forwards.append(ForwardOracle(grad, beta, descriptor=f"risk-chunk-{i + 1}"))
 
+    # the configuration has checked the weight, and the constants below are
+    # computed once, so the resolvents call the unchecked kernels
     w_to = cfg.turnover_weight
+    idx = np.arange(1, d + 1)
     resolvents = [
         ResolventOracle(
-            lambda step, v: soft_threshold_offset(x0, step * w_to, v),
+            lambda step, v: _soft_threshold_offset(x0, step * w_to, v),
             descriptor="turnover-prox",
         ),
-        ResolventOracle(lambda step, v: project_simplex(v), descriptor="simplex"),
+        ResolventOracle(lambda step, v: _project_simplex(v, idx), descriptor="simplex"),
     ]
     for j, (c_vec, z) in enumerate(zip(carbon, cfg.zeta)):
         b = (1.0 - z) * float(c_vec @ x0)
+        nrm2 = float(c_vec @ c_vec)
         resolvents.append(
             ResolventOracle(
-                (lambda c_vec=c_vec, b=b: lambda step, v: project_halfspace(c_vec, b, v))(),
+                (lambda c_vec=c_vec, nrm2=nrm2, b=b:
+                 lambda step, v: _project_halfspace(c_vec, nrm2, b, v))(),
                 descriptor=f"emission-scope-{j + 1}",
             )
         )
@@ -269,7 +281,7 @@ def gen_portfolio_problem(cfg):
     sigma_total = np.sum(sigmas, axis=0)
 
     def objective(x):
-        return float(x @ (sigma_total @ x) - r_hat @ x + w_to * np.sum(np.abs(x - x0)))
+        return float(x @ (sigma_total @ x) - r_hat @ x + w_to * np.abs(x - x0).sum())
 
     return ProblemSpec(
         resolvents=tuple(resolvents),

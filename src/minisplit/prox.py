@@ -35,8 +35,11 @@ def soft_threshold_offset(x0, tau, v):
     """Prox of ``tau * ||x - x0||_1`` at ``v`` (componentwise shrinkage)."""
     if tau <= 0:
         raise ParameterError("tau must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    v = np.asarray(v, dtype=float)
+    return _soft_threshold_offset(np.asarray(x0, dtype=float), tau, np.asarray(v, dtype=float))
+
+
+def _soft_threshold_offset(x0, tau, v):
+    """:func:`soft_threshold_offset` for float arrays and ``tau > 0``, unchecked."""
     diff = v - x0
     return x0 + np.sign(diff) * np.maximum(np.abs(diff) - tau, 0.0)
 
@@ -44,25 +47,41 @@ def soft_threshold_offset(x0, tau, v):
 def project_simplex(v):
     """Euclidean projection onto the standard unit simplex.
 
-    Sort-then-threshold algorithm, O(d log d).
+    Sort-then-threshold algorithm, O(d log d). An empty or non-finite ``v``
+    raises :class:`ParameterError`.
     """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
+    if v.size == 0 or not np.all(np.isfinite(v)):
+        raise ParameterError("simplex projection needs a nonempty finite vector")
+    return _project_simplex(v, np.arange(1, v.size + 1))
+
+
+def _project_simplex(v, idx):
+    """:func:`project_simplex` for a nonempty finite float array ``v``,
+    unchecked; ``idx`` is ``arange(1, v.size + 1)``."""
+    # np.sort and np.cumsum as methods: the same sort and sum, no wrappers
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
     cond = u + (1.0 - css) / idx > 0
-    rho = int(idx[cond][-1])
-    lam = (1.0 - css[rho - 1]) / rho
+    rho = int(cond.nonzero()[0][-1]) + 1
+    lam = (1.0 - float(css[rho - 1])) / rho
     return np.maximum(v + lam, 0.0)
 
 
 def project_halfspace(c, b, v):
     """Euclidean projection onto ``{x : c.x <= b}``."""
     c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
     nrm2 = float(c @ c)
     if nrm2 == 0.0:
         raise ParameterError("halfspace normal must be nonzero")
+    return _project_halfspace(c, nrm2, b, np.asarray(v, dtype=float))
+
+
+def _project_halfspace(c, nrm2, b, v):
+    """:func:`project_halfspace` for float arrays, unchecked; ``nrm2`` is
+    ``c @ c`` as a nonzero float."""
     slack = float(c @ v) - b
     if slack <= 0.0:
         return v.copy()

@@ -230,6 +230,17 @@ class TestCli:
         assert cli.main(["validate", "--params", str(bad)]) == 1
         assert f"field {key} must" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, value", [("beta", [True, 1.0, 1.0]), ("theta", "0.5"),
+                                            ("M", ["0.1"] * 12)])
+    def test_validate_rejects_non_numeric_float_fields(self, key, value, toy, tmp_path, capsys):
+        _, prob = toy
+        doc = params_to_dict(method_for_problem("sfb+", prob, design_seed=3).params)
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--params", str(bad)]) == 1
+        assert f"field {key} must hold" in capsys.readouterr().out
+
     def test_validate_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["validate", "--params", str(tmp_path / "absent.json")]) == 2
 

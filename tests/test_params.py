@@ -276,6 +276,17 @@ class TestSerialization:
         with pytest.raises(ParameterError, match=f"field {key} must "):
             params_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta", [True, 1.0]), ("beta", ["1.0", 1.0]), ("theta", "0.5"), ("theta", True),
+        ("M", "0.1"), ("P", [None]), ("H", [[0.5, 0.5], [0.5, False], [0.0, 0.5]]),
+        ("K", [1, 0, 0, "0", 1, 0]),
+    ])
+    def test_non_numeric_float_field_is_named(self, key, value):
+        doc = params_to_dict(random_params(5, n=3, m=2))
+        doc[key] = value
+        with pytest.raises(ParameterError, match=f"field {key} must hold"):
+            params_from_dict(doc)
+
     def test_unrepresentable_bundle_refuses_serialization(self):
         beta = 1.0
         m_mat = np.sqrt(0.1 / 5.0) * np.array([[1.0], [-1.0]])

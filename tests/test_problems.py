@@ -17,7 +17,14 @@ from minisplit.problems import (
     synthetic_returns,
     toy_data,
 )
-from minisplit.prox import huber_grad, huber_value, prox_norm_offset
+from minisplit.prox import (
+    huber_grad,
+    huber_value,
+    project_halfspace,
+    project_simplex,
+    prox_norm_offset,
+    soft_threshold_offset,
+)
 
 
 def check_firmly_nonexpansive(oracle, d, rng, pairs=1000, step_range=(0.1, 3.0)):
@@ -313,3 +320,114 @@ class TestPortfolioProblem:
     def test_zeta_range_enforced(self):
         with pytest.raises(ParameterError):
             PortfolioProblemConfig(zeta=(0.1, 1.2, 0.0))
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_turnover_weight_must_be_finite_and_positive(self, weight):
+        # the turnover resolvent calls the unchecked shrinkage kernel
+        with pytest.raises(ParameterError, match="turnover_weight must be finite and positive"):
+            PortfolioProblemConfig(turnover_weight=weight)
+
+
+def _nudge(c, v, target):
+    """``v`` moved along its coordinate of largest ``|c|`` by ulp steps until
+    ``float(c @ v) == target``; each step moves ``c @ v`` by less than an ulp
+    of ``target``, so every float on the way is met."""
+    k = int(np.argmax(np.abs(c)))
+    v = v.copy()
+    for _ in range(100_000):
+        dot = float(c @ v)
+        if dot == target:
+            return v
+        v[k] = np.nextafter(v[k], np.inf if (dot < target) == (c[k] > 0) else -np.inf)
+    raise AssertionError("could not reach the target dot product")
+
+
+class TestPortfolioOraclesMatchPublicFunctions:
+    """The portfolio oracles call the unchecked prox kernels with constants
+    computed once; they must give the bits of the public functions composed
+    as documented, at random points and at the branch edges of each
+    resolvent: simplex ties, halfspace slacks of 0 and +-1 ulp, shrinkage
+    knees and signed zeros."""
+
+    @pytest.fixture(params=[(4, 1.0), (3, 0.3)], ids=lambda c: f"chunks={c[0]}-weight={c[1]}")
+    def portfolio(self, request):
+        """Returns (data, problem, points); data holds the generator's
+        covariance chunks, mean returns, current portfolio and emission
+        halfspaces, rebuilt as its docstring describes."""
+        chunks, weight = request.param
+        cfg = PortfolioProblemConfig(seed=13, chunks=chunks, turnover_weight=weight)
+        returns = synthetic_returns(cfg.p, cfg.d, cfg.seed)
+        rng = np.random.default_rng(cfg.seed + 1)
+        carbon = [rng.uniform(0.5, 2.0, size=cfg.d) * s for s in (1.0, 0.6, 0.3)]
+        x0 = np.full(cfg.d, 1.0 / cfg.d)
+        data = {
+            "sigmas": [np.cov(returns[idx], rowvar=False) / chunks
+                       for idx in np.array_split(np.arange(cfg.p), chunks)],
+            "r_hat": returns.mean(axis=0),
+            "x0": x0,
+            "halfspaces": [(c, (1.0 - z) * float(c @ x0)) for c, z in zip(carbon, cfg.zeta)],
+            "weight": weight,
+        }
+        points = [np.zeros(cfg.d), -np.zeros(cfg.d), x0, -x0,
+                  *(np.random.default_rng(14).standard_normal((20, cfg.d)) * 0.5)]
+        return data, gen_portfolio_problem(cfg), points
+
+    @staticmethod
+    def _same(got, want, v=None):
+        assert got.tobytes() == want.tobytes()
+        # the engine may write into its inputs, so results are fresh arrays
+        assert v is None or not np.shares_memory(got, v)
+
+    def test_forwards(self, portfolio):
+        data, problem, points = portfolio
+        m = problem.m
+        for oracle, sig in zip(problem.forwards, data["sigmas"], strict=True):
+            for x in points:
+                self._same(oracle.evaluate(x), 2.0 * (sig @ x) - data["r_hat"] / m)
+
+    def test_turnover_resolvent(self, portfolio):
+        data, problem, points = portfolio
+        x0, w = data["x0"], data["weight"]
+        oracle = problem.resolvents[0]
+        for v in points:
+            # each |v_i - x0_i| is a knee of the shrinkage, met when step * w equals it
+            knees = np.abs(v - x0)
+            steps = [0.05, 0.7] + [s for k in knees if k for s in
+                                   (k / w, np.nextafter(k / w, 0.0), np.nextafter(k / w, np.inf))]
+            for step in steps:
+                self._same(oracle.evaluate(step, v), soft_threshold_offset(x0, step * w, v), v)
+
+    def test_simplex_resolvent(self, portfolio):
+        data, problem, points = portfolio
+        d = data["x0"].size
+        tied = np.full(d, 0.3)
+        tied[: d // 2] = 0.7
+        dyadic = 0.5 ** np.arange(1, d + 1)
+        dyadic[-1] *= 2.0  # sums to exactly 1
+        edges = [tied, np.full(d, 0.3), np.ones(d), dyadic, dyadic[::-1].copy(),
+                 np.where(np.arange(d) < 2, 0.5, -0.0), np.nextafter(dyadic, np.inf),
+                 np.nextafter(dyadic, -np.inf)]
+        oracle = problem.resolvents[1]
+        for v in [*points, *edges]:
+            assert np.isclose(project_simplex(v).sum(), 1.0)
+            for step in (0.05, 0.7):
+                self._same(oracle.evaluate(step, v), project_simplex(v), v)
+
+    def test_halfspace_resolvents(self, portfolio):
+        data, problem, points = portfolio
+        for oracle, (c, b) in zip(problem.resolvents[2:], data["halfspaces"], strict=True):
+            on_plane = _nudge(c, b * c / float(c @ c), b)
+            edges = [on_plane, _nudge(c, on_plane, np.nextafter(b, np.inf)),
+                     _nudge(c, on_plane, np.nextafter(b, -np.inf))]
+            assert [float(c @ v) - b for v in edges] == [
+                0.0, np.nextafter(b, np.inf) - b, np.nextafter(b, -np.inf) - b]
+            for v in [*points, *edges]:
+                self._same(oracle.evaluate(0.7, v), project_halfspace(c, b, v), v)
+
+    def test_objective(self, portfolio):
+        data, problem, points = portfolio
+        sigma_total = np.sum(data["sigmas"], axis=0)
+        x0, r_hat, w = data["x0"], data["r_hat"], data["weight"]
+        for x in points:
+            want = float(x @ (sigma_total @ x) - r_hat @ x + w * np.sum(np.abs(x - x0)))
+            assert np.float64(problem.objective(x)).tobytes() == np.float64(want).tobytes()

@@ -167,6 +167,33 @@ class TestSimplexProjection:
             best = grid[np.argmin(np.sum((grid - v) ** 2, axis=1))]
             assert np.linalg.norm(p - v) <= np.linalg.norm(best - v) + 1e-9
 
+    @pytest.mark.parametrize("v", [[], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]],
+                             ids=["empty", "nan", "inf", "-inf"])
+    def test_rejects_empty_and_non_finite_input(self, v):
+        with pytest.raises(ParameterError, match="nonempty finite vector"):
+            project_simplex(v)
+
+    def test_matches_the_boolean_index_formula_bitwise(self):
+        # the threshold read through a boolean index in numpy scalars, as the
+        # projection computed it before its kernel took rho and lam as
+        # Python numbers
+        def indexed(v):
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u)
+            idx = np.arange(1, v.size + 1)
+            rho = int(idx[u + (1.0 - css) / idx > 0][-1])
+            return np.maximum(v + (1.0 - css[rho - 1]) / rho, 0.0)
+
+        rng = np.random.default_rng(10)
+        dyadic = 0.5 ** np.arange(1, 7)
+        dyadic[-1] *= 2.0
+        edges = [np.full(6, 1.0 / 6.0), np.full(6, 0.3), dyadic, np.nextafter(dyadic, np.inf),
+                 np.array([0.5, 0.5, -0.0, 0.0, -0.0, 0.0]), np.zeros(6), -np.zeros(6)]
+        randoms = [rng.standard_normal(rng.integers(1, 12)) * scale
+                   for scale in (0.1, 1.0, 10.0) for _ in range(100)]
+        for v in edges + randoms:
+            assert project_simplex(v).tobytes() == indexed(v).tobytes()
+
 
 class TestHalfspaceProjection:
     def test_feasible_input_unchanged(self):
