@@ -113,13 +113,8 @@ def _cmd_run(args):
     # a preset name always selects the preset, even where a file of that name exists
     if args.method not in METHOD_NAMES and (args.method.endswith(".json")
                                             or os.path.exists(args.method)):
-        params = load_params(args.method)
-        if params.n != problem.n or params.m != problem.m:
-            raise ParameterError(
-                f"params file has (n={params.n}, m={params.m}) but the problem "
-                f"needs (n={problem.n}, m={problem.m})"
-            )
-        method = MethodDescriptor(name=os.path.basename(args.method), params=params)
+        method = MethodDescriptor(name=os.path.basename(args.method),
+                                  params=load_params(args.method))
     else:
         method = method_for_problem(args.method, problem, design_seed=args.seed, theta=args.theta)
 

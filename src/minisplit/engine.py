@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError
 from .linalg import consensus_variance
-from .params import factor_laplacian, forward_penalty, from_components, validate_params
+from .params import (ValidationReport, factor_laplacian, forward_penalty, from_components,
+                     validate_params)
 
 #: Residuals are also compared against the first iteration's residual; the
 #: loop stops once they fall below this relative factor. The default of
@@ -143,7 +144,9 @@ class RunReport:
 
     ``fp_residual[k]`` is ||T(state_k) - state_k|| / theta, the norm of the
     displacement of the underlying nonexpansive map T at the k-th evaluated
-    state; without acceleration T(state_k) is state_{k+1}. ``objective``
+    state; without acceleration T(state_k) is state_{k+1}. ``validation``
+    is the report of the bundle that ran, the run's only validation of it;
+    in lifted form that is the bundle rebuilt from the laplacian. ``objective``
     holds NaN where no evaluator was supplied (or recording was off). The
     consensus diagnostics certify the fixed-point encoding at termination:
     all blocks of ``final_x`` close to their mean (``consensus`` and
@@ -159,6 +162,7 @@ class RunReport:
     final_x: np.ndarray
     inclusion_residual: float
     termination: str
+    validation: ValidationReport
     x_trace: Optional[list] = None
     state_trace: Optional[list] = None
 
@@ -260,8 +264,9 @@ class _Anderson:
 
 
 def _checked_bundle(params, problem):
-    """Raise :class:`ParameterError` unless the bundle validates and its
-    resolvent and forward counts match the problem's."""
+    """The bundle's :class:`ValidationReport`; raises :class:`ParameterError`
+    unless the bundle validates and its resolvent and forward counts match
+    the problem's."""
     report = validate_params(params)
     if not report.passed:
         raise ParameterError(f"parameters fail validation: {report.to_dict()}")
@@ -270,10 +275,12 @@ def _checked_bundle(params, problem):
             f"parameter counts (n={params.n}, m={params.m}) do not match "
             f"problem counts (n={problem.n}, m={problem.m})"
         )
+    return report
 
 
 def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, stop, *,
                       rel_stop, record_objective, trace, accelerate):
+    validation = _checked_bundle(params, problem)
     theta = params.theta
     objective_fn = problem.objective if record_objective else None
     anderson = _Anderson() if accelerate else None
@@ -353,6 +360,7 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
         final_x=x,
         inclusion_residual=inclusion,
         termination=termination,
+        validation=validation,
         x_trace=x_trace,
         state_trace=state_trace,
     )
@@ -387,7 +395,6 @@ def run(
     below that level. The x-trajectory is then no longer the method's own,
     so this is for computing reference solutions, not for comparing methods.
     """
-    _checked_bundle(params, problem)
     if z0 is None:
         z0 = np.zeros((params.n - 1, problem.dimension))
     z0 = np.asarray(z0, dtype=float)
@@ -441,7 +448,6 @@ def run_lifted(
                              f"m={causal.m} forward operators")
     params = from_components(factor_laplacian(laplacian), laplacian + forward_penalty(causal, beta),
                              causal, beta, theta)
-    _checked_bundle(params, problem)
     n, theta = params.n, params.theta
     if w0 is None:
         w0 = np.zeros((n, problem.dimension))

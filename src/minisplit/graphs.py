@@ -48,29 +48,13 @@ def graph_laplacian(g):
     return lap
 
 
-def is_connected(g):
-    """Connectivity of the underlying undirected graph."""
-    adj = [[] for _ in range(g.n)]
-    for h, i in g.edges:
-        adj[h - 1].append(i - 1)
-        adj[i - 1].append(h - 1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 def path_graph(n):
     return GraphSpec(n, tuple((i, i + 1) for i in range(1, n)))
 
 
 def ring_graph(n):
-    return GraphSpec(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
+    """The path closed by the edge (1, n); on two nodes that edge is the path's."""
+    return GraphSpec(n, tuple((i, i + 1) for i in range(1, n)) + (((1, n),) if n >= 3 else ()))
 
 
 def complete_graph(n):

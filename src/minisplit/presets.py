@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, StepSizeViolationError
-from .graphs import graph_laplacian, is_connected
+from .graphs import graph_laplacian
 from .params import SplittingParams, factor_laplacian, forward_penalty, from_components
 from .schedule import CausalPair
 
@@ -28,6 +28,20 @@ class MethodDescriptor:
     params: SplittingParams
     laplacian: Optional[np.ndarray] = None
     notes: str = ""
+
+
+def _edge_routing(n, edges):
+    """Routing pair of forwards on directed edges, listed by nondecreasing
+    target: forward j runs on the output of resolvent source_j and feeds
+    resolvent target_j only, so F[i] counts the targets <= i + 1."""
+    m = len(edges)
+    h_mat = np.zeros((n, m))
+    k_mat = np.zeros((m, n))
+    for j, (h, i) in enumerate(edges):
+        h_mat[i - 1, j] = 1.0
+        k_mat[j, h - 1] = 1.0
+    targets = np.array([i for _, i in edges], dtype=int)
+    return CausalPair(h_mat, k_mat, np.searchsorted(targets, np.arange(1, n + 1), side="right"))
 
 
 def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9):
@@ -64,12 +78,7 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9)
     lam = np.sqrt(theta_bar / gamma)
     m_mat = lam * np.array([[1.0], [-1.0]])  # the only coupling with two resolvents
     m = beta.size
-    if m:
-        h_mat = np.vstack([np.zeros(m), np.ones(m)])
-        k_mat = np.column_stack([np.ones(m), np.zeros(m)])
-        causal = CausalPair(h_mat, k_mat, np.array([0, m]))
-    else:
-        causal = CausalPair.empty(2)
+    causal = _edge_routing(2, [(1, 2)] * m)
     s_mat = (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]])
     params = from_components(m_mat, s_mat, causal, beta, theta)
     name = "DRS" if total == 0 and m == 0 else "DY"
@@ -91,8 +100,6 @@ def graph_drs_params(g, g_prime, theta=0.9):
         raise ParameterError("every coupling edge must also be a step-matrix edge")
     if g.n != g_prime.n:
         raise ParameterError("graphs must share the node set")
-    if not is_connected(g):
-        raise ParameterError("coupling graph must be connected")
     m_mat = factor_laplacian(graph_laplacian(g))
     s_mat = graph_laplacian(g_prime)
     params = from_components(m_mat, s_mat, None, np.zeros(0), theta)
@@ -103,59 +110,35 @@ def graph_drs_params(g, g_prime, theta=0.9):
     )
 
 
-def _forward_sources(g_f, n):
-    """Unique in-neighbor of each node 2..n in the forward-evaluation graph."""
-    src = {}
-    for h, i in g_f.edges:
-        if i in src:
-            raise ParameterError(
-                f"node {i} has two forward in-edges ({src[i]} and {h}); "
-                "each node may receive at most one"
-            )
-        src[i] = h
-    missing = [i for i in range(2, n + 1) if i not in src]
-    if missing:
-        raise ParameterError(
-            f"nodes {missing} have no forward in-edge; each node 2..n needs exactly one"
-        )
-    return src
-
-
 def gfb_params(g, g_f, beta, theta=0.9):
     """Forward-backward splitting devised by graphs: m = n-1 uniform forwards.
 
     ``g`` fixes both the coupling and the step matrix S = (1 + beta/2) L(g);
-    ``g_f`` (a subset of ``g``'s edges with unique in-edges) routes forward
-    evaluations: the operator feeding node i is evaluated at the output of
-    its unique source. Heterogeneous ``beta`` vectors are collapsed to their
-    maximum.
+    ``g_f`` (a subset of ``g``'s edges that gives each node 2..n exactly one
+    in-edge) routes forward evaluations: the operator feeding node i is
+    evaluated at the output of its unique source. Heterogeneous ``beta``
+    vectors are collapsed to their maximum.
     """
     n = g.n
     if g_f.n != n:
         raise ParameterError("graphs must share the node set")
     if set(g_f.edges) - set(g.edges):
         raise ParameterError("forward-evaluation edges must be coupling edges")
-    if not is_connected(g):
-        raise ParameterError("coupling graph must be connected")
     beta_arr = np.atleast_1d(np.asarray(beta, dtype=float))
     if np.any(beta_arr < 0):
         raise ParameterError("beta must be nonnegative")
     beta_val = float(np.max(beta_arr)) if beta_arr.size else 0.0
 
-    src = _forward_sources(g_f, n)
-    m = n - 1
-    h_mat = np.zeros((n, m))
-    k_mat = np.zeros((m, n))
-    for j in range(m):
-        target = j + 2
-        h_mat[target - 1, j] = 1.0
-        k_mat[j, src[target] - 1] = 1.0
-    causal = CausalPair(h_mat, k_mat, np.arange(n))
+    order = agfb_edge_order(g_f)
+    if [i for _, i in order] != list(range(2, n + 1)):
+        raise ParameterError("the forward-evaluation graph must give each node 2..n "
+                             "exactly one in-edge")
+    causal = _edge_routing(n, order)
 
     lap = graph_laplacian(g)
     m_mat = factor_laplacian(lap)
     s_mat = (1.0 + beta_val / 2.0) * lap
-    params = from_components(m_mat, s_mat, causal, np.full(m, beta_val), theta)
+    params = from_components(m_mat, s_mat, causal, np.full(n - 1, beta_val), theta)
     return MethodDescriptor(
         name="GFB",
         params=params,
@@ -177,9 +160,6 @@ def agfb_params(g, beta_edges, theta=0.9):
     coupling coefficients are 1 + beta on each edge. Runs in lifted form on
     the graph laplacian.
     """
-    if not is_connected(g):
-        raise ParameterError("graph must be connected")
-    n = g.n
     order = agfb_edge_order(g)
     beta_vec = np.array([float(beta_edges.get(e, 0.0)) for e in order])
     if np.any(beta_vec < 0):
@@ -188,18 +168,7 @@ def agfb_params(g, beta_edges, theta=0.9):
     if unknown:
         raise ParameterError(f"betas given for non-edges: {sorted(unknown)}")
 
-    m = len(order)
-    h_mat = np.zeros((n, m))
-    k_mat = np.zeros((m, n))
-    f = np.zeros(n, dtype=int)
-    for j, (h, i) in enumerate(order):
-        h_mat[i - 1, j] = 1.0
-        k_mat[j, h - 1] = 1.0
-    targets = np.array([i for _, i in order])
-    for node in range(1, n + 1):
-        f[node - 1] = int(np.sum(targets <= node))
-    causal = CausalPair(h_mat, k_mat, f)
-
+    causal = _edge_routing(g.n, order)
     lap = graph_laplacian(g)
     m_mat = factor_laplacian(lap)
     s_mat = lap + forward_penalty(causal, beta_vec)

@@ -17,7 +17,7 @@ def prox_norm_offset(xi, tau, v):
     Returns ``xi`` when ``||v - xi|| <= tau``, otherwise shrinks ``v`` towards
     ``xi`` by ``tau`` along the ray.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ParameterError("tau must be positive")
     return _prox_norm_offset(np.asarray(xi, dtype=float), tau, np.asarray(v, dtype=float))
 
@@ -33,7 +33,7 @@ def _prox_norm_offset(xi, tau, v):
 
 def soft_threshold_offset(x0, tau, v):
     """Prox of ``tau * ||x - x0||_1`` at ``v`` (componentwise shrinkage)."""
-    if tau <= 0:
+    if not tau > 0:
         raise ParameterError("tau must be positive")
     return _soft_threshold_offset(np.asarray(x0, dtype=float), tau, np.asarray(v, dtype=float))
 
@@ -65,7 +65,12 @@ def _project_simplex(v, idx):
     u = u[::-1]
     css = u.cumsum()
     cond = u + (1.0 - css) / idx > 0
-    rho = int(cond.nonzero()[0][-1]) + 1
+    try:
+        rho = int(cond.nonzero()[0][-1]) + 1
+    except IndexError:
+        # only rounding fails every index (the top entry's partial sum swallows
+        # the 1); the projection is the same after subtracting max(v) = u[0]
+        return _project_simplex(v - u[0], idx)
     lam = (1.0 - float(css[rho - 1])) / rho
     return np.maximum(v + lam, 0.0)
 
@@ -95,7 +100,7 @@ def huber_value(delta1, delta2, z):
     middle band, linear with slope ``delta2 - delta1`` outside. Accepts
     scalars (returns a float) or arrays.
     """
-    if delta1 < 0 or delta1 > delta2:
+    if not 0 <= delta1 <= delta2:
         raise ParameterError("need 0 <= delta1 <= delta2")
     value = _huber_value(delta1, delta2, delta2 - delta1,
                          0.5 * (delta2 * delta2 - delta1 * delta1), np.asarray(z, dtype=float))
@@ -117,7 +122,7 @@ def huber_grad(delta1, delta2, z):
     ``sign(z) * clip(|z| - delta1, 0, delta2 - delta1)``, continuous in ``z``.
     Accepts scalars (returns a float) or arrays.
     """
-    if delta1 < 0 or delta1 > delta2:
+    if not 0 <= delta1 <= delta2:
         raise ParameterError("need 0 <= delta1 <= delta2")
     grad = _huber_grad(delta1, delta2 - delta1, np.asarray(z, dtype=float))
     return float(grad) if grad.ndim == 0 else grad

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from minisplit import bench, cli
+from minisplit import bench, cli, engine
+from minisplit import params as params_module
 from minisplit.bench import (
     compare,
     iterations_to_threshold,
@@ -14,7 +15,7 @@ from minisplit.bench import (
     run_experiment,
 )
 from minisplit.errors import DivergenceError, ParameterError
-from minisplit.params import params_from_dict, params_to_dict, save_params
+from minisplit.params import params_from_dict, params_to_dict, save_params, validate_params
 from minisplit.problems import PortfolioProblemConfig, ToyProblemConfig, gen_toy_problem
 
 
@@ -22,6 +23,20 @@ from minisplit.problems import PortfolioProblemConfig, ToyProblemConfig, gen_toy
 def toy():
     cfg = ToyProblemConfig(n=4, d=6, p=8, m=3, seed=0)
     return cfg, gen_toy_problem(cfg)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Bundles passed to ``validate_params`` through any module that binds it."""
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return validate_params(params)
+
+    for module in (params_module, engine, bench, cli):
+        monkeypatch.setattr(module, "validate_params", counting)
+    return calls
 
 
 class TestMethodRegistry:
@@ -69,6 +84,16 @@ class TestRunExperiment:
         assert sidecar["validation"]["passed"] is True
         rebuilt = params_from_dict(sidecar["params"])
         np.testing.assert_array_equal(rebuilt.S, desc.params.S)
+
+    @pytest.mark.parametrize("name", ["sfb+", "gfb"])
+    def test_validates_once(self, name, toy, tmp_path, validations):
+        _, prob = toy
+        desc = method_for_problem(name, prob, design_seed=1)
+        report = run_experiment(desc, prob, 5, 1, tmp_path / "run.csv")
+        assert len(validations) == 1
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        assert report.validation == validate_params(validations[0])
+        assert sidecar["validation"] == report.validation.to_dict()
 
     def test_deterministic_bytes(self, toy, tmp_path):
         cfg, prob = toy
@@ -269,7 +294,15 @@ class TestCli:
         ])
         assert code == 0
 
-    def test_run_params_problem_mismatch(self, tmp_path):
+    def test_run_validates_once(self, tmp_path, validations):
+        code = cli.main([
+            "run", "--problem", "toy", "--method", "agfb", "--iters", "5",
+            "--out", str(tmp_path / "r.csv"), "--n", "3", "--d", "5", "--p", "6", "--m", "3",
+        ])
+        assert code == 0
+        assert len(validations) == 1
+
+    def test_run_params_problem_mismatch(self, tmp_path, capsys):
         prob = gen_toy_problem(ToyProblemConfig(n=3, d=5, p=6, m=2, seed=4))
         desc = method_for_problem("sfb+", prob, design_seed=4)
         pfile = tmp_path / "params.json"
@@ -280,6 +313,7 @@ class TestCli:
             "--n", "5", "--d", "5", "--p", "6", "--m", "2",
         ])
         assert code == 1
+        assert "do not match problem counts (n=5, m=2)" in capsys.readouterr().err
 
     def test_run_portfolio(self, tmp_path):
         out = tmp_path / "p.csv"

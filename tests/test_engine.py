@@ -15,7 +15,7 @@ from minisplit import engine, linalg
 from minisplit.engine import extract_solution, run, run_lifted, split_step
 from minisplit.errors import DivergenceError, ParameterError
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
-from minisplit.params import factor_laplacian, forward_penalty, from_components
+from minisplit.params import factor_laplacian, forward_penalty, from_components, validate_params
 from minisplit.presets import davis_yin_params
 from minisplit.problems import ToyProblemConfig, gen_toy_problem
 from minisplit.schedule import CausalPair
@@ -169,6 +169,12 @@ class TestRun:
         slack = 1e-9 * res[0]
         assert np.all(res[1:] <= res[:-1] + slack)
 
+    def test_report_carries_the_validation_of_its_bundle(self):
+        rng = np.random.default_rng(8)
+        params = random_params(8, n=4, m=2)
+        prob = random_affine_problem(rng, 4, 2, 3, beta=params.beta)
+        assert run(params, prob, max_iters=3).validation == validate_params(params)
+
     def test_rejects_invalid_parameters(self):
         beta = 1.0
         m_mat = np.sqrt(0.1 / 5.0) * np.array([[1.0], [-1.0]])
@@ -318,6 +324,17 @@ class TestRunLifted:
         drift = max(float(np.linalg.norm(w.sum(axis=0))) for w in report.state_trace)
         scale = max(float(np.max(np.abs(w))) for w in report.state_trace)
         assert drift <= 1e-8 * max(scale, 1.0)
+
+    def test_report_carries_the_validation_of_the_rebuilt_bundle(self):
+        rng = np.random.default_rng(8)
+        params = random_params(8, n=4, m=2)
+        lap = params.M @ params.M.T
+        prob = random_affine_problem(rng, 4, 2, 3, beta=params.beta)
+        report = run_lifted(lap, params.causal, params.beta, params.theta, prob, max_iters=3)
+        # the lifted run validates the bundle it builds from the laplacian
+        ran = from_components(factor_laplacian(lap), lap + forward_penalty(params.causal, params.beta),
+                              params.causal, params.beta, params.theta)
+        assert report.validation == validate_params(ran)
 
     def test_matches_minimal_form(self):
         rng = np.random.default_rng(7)

@@ -4,15 +4,16 @@ import pytest
 from helpers import random_affine_problem
 from minisplit.engine import run_lifted
 from minisplit.errors import ParameterError, StepSizeViolationError
+from minisplit.bench import method_for_problem
 from minisplit.graphs import (
     GraphSpec,
     complete_graph,
     graph_laplacian,
-    is_connected,
     path_graph,
     ring_graph,
 )
-from minisplit.params import validate_params
+from minisplit.params import factor_laplacian, validate_params
+from minisplit.problems import ToyProblemConfig, gen_toy_problem
 from minisplit.presets import (
     agfb_edge_order,
     agfb_params,
@@ -26,6 +27,7 @@ class TestGraphs:
     def test_builders(self):
         assert path_graph(3).edges == ((1, 2), (2, 3))
         assert ring_graph(4).edges == ((1, 2), (2, 3), (3, 4), (1, 4))
+        assert ring_graph(2).edges == ((1, 2),)
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
 
     def test_orientation_enforced(self):
@@ -33,8 +35,10 @@ class TestGraphs:
             GraphSpec(3, ((2, 1),))
 
     def test_connectivity(self):
-        assert is_connected(path_graph(5))
-        assert not is_connected(GraphSpec(4, ((1, 2), (3, 4))))
+        # the coupling factorization is the one connectivity check
+        assert factor_laplacian(graph_laplacian(path_graph(5))).shape == (5, 4)
+        with pytest.raises(ParameterError, match="connected coupling"):
+            factor_laplacian(graph_laplacian(GraphSpec(4, ((1, 2), (3, 4)))))
 
     def test_laplacian_annihilates_consensus(self):
         for g in (path_graph(4), ring_graph(5), complete_graph(6)):
@@ -71,6 +75,14 @@ class TestDavisYin:
         np.testing.assert_array_equal(desc.params.causal.H[0], 0.0)
         np.testing.assert_array_equal(desc.params.causal.K[:, 0], 1.0)
         assert validate_params(desc.params).passed
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_explicit_routing(self, m):
+        causal = davis_yin_params(0.5, 0.9, beta=np.full(m, 0.3)).params.causal
+        # every forward runs on resolvent 1's output and feeds resolvent 2
+        np.testing.assert_array_equal(causal.H, np.vstack([np.zeros(m), np.ones(m)]))
+        np.testing.assert_array_equal(causal.K, np.column_stack([np.ones(m), np.zeros(m)]))
+        assert causal.F.tolist() == [0, m]
 
     def test_reflection_scheme_matches_direct_recursion(self):
         from helpers import random_affine_problem, three_operator_trajectory
@@ -157,6 +169,38 @@ class TestGfb:
         with pytest.raises(ParameterError):
             gfb_params(complete_graph(3), g_f, 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("coupling", [complete_graph, ring_graph, path_graph])
+    @pytest.mark.parametrize("forward, source", [
+        (path_graph, lambda i: i - 1),
+        (lambda n: GraphSpec(n, tuple((1, i) for i in range(2, n + 1))), lambda i: 1),
+    ], ids=["path", "star"])
+    def test_explicit_routing(self, n, coupling, forward, source):
+        g, g_f = coupling(n), forward(n)
+        if set(g_f.edges) - set(g.edges):
+            with pytest.raises(ParameterError, match="coupling edges"):
+                gfb_params(g, g_f, 1.0)
+            return
+        causal = gfb_params(g, g_f, 1.0).params.causal
+        # forward j feeds node j + 2 from that node's source in g_f
+        h_mat, k_mat = np.zeros((n, n - 1)), np.zeros((n - 1, n))
+        for j in range(n - 1):
+            h_mat[j + 1, j] = 1.0
+            k_mat[j, source(j + 2) - 1] = 1.0
+        np.testing.assert_array_equal(causal.H, h_mat)
+        np.testing.assert_array_equal(causal.K, k_mat)
+        assert causal.F.tolist() == list(range(n))
+
+    def test_two_node_ring_is_gfb(self):
+        prob = gen_toy_problem(ToyProblemConfig(n=2, d=4, p=6, m=1, seed=3, hetero=True))
+        rfb = method_for_problem("rfb", prob).params
+        gfb = method_for_problem("gfb", prob).params
+        for a, b in ((rfb.M, gfb.M), (rfb.P, gfb.P), (rfb.S, gfb.S), (rfb.beta, gfb.beta),
+                     (rfb.causal.H, gfb.causal.H), (rfb.causal.K, gfb.causal.K),
+                     (rfb.causal.F, gfb.causal.F)):
+            assert a.tobytes() == b.tobytes()
+        assert rfb.theta == gfb.theta
+
     def test_heterogeneous_constants_collapse_to_max(self):
         desc = gfb_params(complete_graph(3), path_graph(3), np.array([0.3, 2.0]))
         np.testing.assert_array_equal(desc.params.beta, [2.0, 2.0])
@@ -225,6 +269,24 @@ class TestAgfb:
                 )
             dev = max(dev, float(np.max(np.abs(report.x_trace[k] - x))))
         assert dev <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_explicit_routing(self, n):
+        g = complete_graph(n)
+        causal = agfb_params(g, {e: 0.5 for e in g.edges}).params.causal
+        # edges by target, then source: forward j runs on its source's output
+        # and feeds its target only
+        m = n * (n - 1) // 2
+        h_mat, k_mat = np.zeros((n, m)), np.zeros((m, n))
+        j = 0
+        for target in range(2, n + 1):
+            for src in range(1, target):
+                h_mat[target - 1, j] = 1.0
+                k_mat[j, src - 1] = 1.0
+                j += 1
+        np.testing.assert_array_equal(causal.H, h_mat)
+        np.testing.assert_array_equal(causal.K, k_mat)
+        assert causal.F.tolist() == [i * (i - 1) // 2 for i in range(1, n + 1)]
 
     def test_disconnected_rejected(self):
         g = GraphSpec(4, ((1, 2), (3, 4)))

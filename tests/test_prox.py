@@ -70,6 +70,10 @@ class TestProxNormOffset:
         with pytest.raises(ParameterError):
             prox_norm_offset(np.zeros(2), 0.0, np.ones(2))
 
+    def test_rejects_nan_tau(self):
+        with pytest.raises(ParameterError, match="tau must be positive"):
+            prox_norm_offset(np.zeros(2), np.nan, np.ones(2))
+
 
 class TestHuber:
     def test_branch_values(self):
@@ -112,6 +116,12 @@ class TestHuber:
                 fn(2.0, 1.0, 0.0)
             with pytest.raises(ParameterError):
                 fn(-0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("fn", [huber_value, huber_grad])
+    def test_rejects_nan_knees(self, fn):
+        for d1, d2 in ((np.nan, 1.0), (0.5, np.nan), (np.nan, np.nan)):
+            with pytest.raises(ParameterError, match="delta1 <= delta2"):
+                fn(d1, d2, np.ones(3))
 
     @pytest.mark.parametrize("d1, d2", [(0.5, 2.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)])
     def test_split_functions_match_the_joint_formula_bitwise(self, d1, d2):
@@ -172,6 +182,13 @@ class TestSimplexProjection:
     def test_rejects_empty_and_non_finite_input(self, v):
         with pytest.raises(ParameterError, match="nonempty finite vector"):
             project_simplex(v)
+
+    @pytest.mark.parametrize("v, want", [([1e20, 0.0], [1.0, 0.0]), ([2.0**54], [1.0]),
+                                         ([1e17, 1e17], [0.5, 0.5])])
+    def test_partial_sums_that_lose_the_one(self, v, want):
+        # rounding leaves no index above the threshold; the projection of
+        # v - max(v) is the same point
+        np.testing.assert_array_equal(project_simplex(v), want)
 
     def test_matches_the_boolean_index_formula_bitwise(self):
         # the threshold read through a boolean index in numpy scalars, as the
@@ -235,6 +252,10 @@ class TestSoftThresholdOffset:
     def test_identity_at_center(self):
         x0 = np.array([1.0, -1.0])
         np.testing.assert_array_equal(soft_threshold_offset(x0, 0.3, x0), x0)
+
+    def test_rejects_nan_tau(self):
+        with pytest.raises(ParameterError, match="tau must be positive"):
+            soft_threshold_offset(np.zeros(2), np.nan, np.ones(2))
 
     def test_shift_invariance(self):
         np.testing.assert_allclose(
