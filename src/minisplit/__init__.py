@@ -29,7 +29,6 @@ from .params import (
     SplittingParams,
     ValidationReport,
     assemble,
-    complete_laplacian,
     factor_laplacian,
     factor_slack,
     from_components,

@@ -13,11 +13,11 @@ import os
 
 import numpy as np
 
-from .engine import DEFAULT_REL_STOP, DEFAULT_THETA, run, run_lifted
+from .engine import DEFAULT_REL_STOP, run
 from .errors import ParameterError
 from .graphs import complete_graph, path_graph, ring_graph
 from .heuristics import sfb_plus_params
-from .params import assemble, complete_laplacian, params_to_dict, random_slack
+from .params import DEFAULT_THETA, assemble, params_to_dict, random_slack
 # unused here: perfbench/spans.py wraps bench.validate_params when tracing
 from .params import validate_params  # noqa: F401
 from .presets import (
@@ -65,12 +65,7 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
         f = random_schedule(n, m, design_seed)
         params = sfb_plus_params(n, m, f, problem.beta, theta=theta)
         if name == "sfb+":
-            return MethodDescriptor(
-                name="SFBplus",
-                params=params,
-                laplacian=complete_laplacian(n),
-                notes=f"schedule {f.tolist()}",
-            )
+            return MethodDescriptor(name="SFBplus", params=params, notes=f"schedule {f.tolist()}")
         slack = random_slack(n, 0.5, seed=design_seed)
         noisy = assemble(params.M, slack, params.causal, params.beta, theta)
         return MethodDescriptor(
@@ -104,19 +99,14 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
 
 def execute(method, problem, iters, *, stop=0.0, rel_stop=DEFAULT_REL_STOP, record_objective=True,
             trace=False, accelerate=False):
-    """Run a descriptor, in lifted form when it carries a laplacian.
+    """Run a descriptor's bundle in minimal form, from the zero state.
 
     ``accelerate`` turns on the engine's safeguarded Anderson acceleration;
     only :func:`reference_solution` uses it, so compared runs follow their
     method's own iteration.
     """
-    options = dict(max_iters=iters, stop=stop, rel_stop=rel_stop, record_objective=record_objective,
-                   trace=trace, accelerate=accelerate)
-    params = method.params
-    if method.laplacian is not None:
-        return run_lifted(method.laplacian, params.causal, params.beta, params.theta, problem,
-                          **options)
-    return run(params, problem, **options)
+    return run(method.params, problem, max_iters=iters, stop=stop, rel_stop=rel_stop,
+               record_objective=record_objective, trace=trace, accelerate=accelerate)
 
 
 def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=False, config=None, trace=False):
@@ -124,8 +114,9 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
 
     The sidecar echoes the configuration and carries the final metrics, the
     validation report of the bundle that ran (``RunReport.validation``) and
-    the serialized parameters. CSV bytes are identical for identical
-    (method, problem, seed) unless ``timing`` is on.
+    the serialized parameters, which replay the run when loaded as the
+    method. CSV bytes are identical for identical (method, problem, seed)
+    unless ``timing`` is on.
     """
     report = execute(method, problem, iters, stop=stop, trace=trace)
     report.write_csv(out_path, timing=timing)
@@ -134,7 +125,7 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     final["wall_time_s"] = float(report.elapsed_ms[-1] / 1e3) if report.iterations else 0.0
     sidecar = {
         "config": config or {},
-        "method": {"name": method.name, "lifted": method.laplacian is not None, "notes": method.notes},
+        "method": {"name": method.name, "notes": method.notes},
         "problem": problem.label,
         "seed": seed,
         "iters": iters,
@@ -227,17 +218,21 @@ def compare(
     objective gap for the toy, whose evaluator covers every term, and the
     distance to the reference solution for the portfolio, whose constraints
     the evaluator cannot see. Writes per-run CSV/JSON artifacts plus a
-    machine-readable ``summary.json``; returns the summary dict.
+    machine-readable ``summary.json``; returns the summary dict. An unknown
+    or repeated method name raises :class:`ParameterError` before any work.
     """
     if not methods:
         raise ParameterError("need at least one method")
     _require_positive(repeats=repeats, iters=iters, reference_iters=reference_iters)
-    os.makedirs(out_dir, exist_ok=True)
     is_toy = isinstance(problem_config, ToyProblemConfig)
+    n_nodes = problem_config.n if is_toy else 5
+    needs = {name: required_forward_count(name, n_nodes) for name in methods}
+    if len(needs) != len(methods):
+        raise ParameterError(f"each method may be listed once, got {', '.join(methods)}")
+    os.makedirs(out_dir, exist_ok=True)
     metric = "objective" if is_toy else "distance"
     base_seed = problem_config.seed
     default_m = problem_config.m if is_toy else problem_config.chunks
-    n_nodes = problem_config.n if is_toy else 5
 
     per_method = {name: {"iters_to_threshold": [], "final_residuals": [],
                          "final_fp_residuals": [], "final_records": []} for name in methods}
@@ -245,8 +240,7 @@ def compare(
     for rep in range(repeats):
         rep_seed = base_seed + rep
         ref_cache = {}
-        for name in methods:
-            need = required_forward_count(name, n_nodes)
+        for name, need in needs.items():
             m_blocks = default_m if need is None else need
             problem, cfg = _problem_for(problem_config, m_blocks, rep_seed)
             ref_m = max(default_m, 1) if is_toy else m_blocks

@@ -15,9 +15,8 @@ import os
 import sys
 
 from .bench import METHOD_NAMES, compare, method_for_problem, run_experiment
-from .engine import DEFAULT_THETA
 from .errors import DivergenceError, IngestionError, ParameterError
-from .params import load_params, validate_params
+from .params import DEFAULT_THETA, load_params, validate_params
 from .presets import MethodDescriptor
 from .problems import PortfolioProblemConfig, ToyProblemConfig, gen_portfolio_problem, gen_toy_problem
 

@@ -23,8 +23,6 @@ from .params import (ValidationReport, factor_laplacian, forward_penalty, from_c
 #: loop stops once they fall below this relative factor. The default of
 #: ``run``, ``run_lifted`` and ``bench.execute``.
 DEFAULT_REL_STOP = 1e-14
-#: Default relaxation for callers that do not pin one.
-DEFAULT_THETA = 0.9
 
 _DIVERGENCE_FACTOR = 1e6
 _EPS = float(np.finfo(float).eps)

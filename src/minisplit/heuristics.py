@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .linalg import top_singular_triple
-from .params import assemble, complete_laplacian, factor_laplacian
+from .graphs import complete_graph, graph_laplacian
+from .params import DEFAULT_THETA, assemble, factor_laplacian
 from .schedule import CausalPair, is_valid_schedule, support_masks
 
 #: Relative gap of a converged routing design:
@@ -223,11 +224,10 @@ def optimize_routing(n, m, f, beta, budget=500):
     return RoutingResult(h_mat, k_mat, best_val, lower, steps, bool(converged))
 
 
-def sfb_plus_params(n, m, f, beta, theta=0.9, budget=500):
+def sfb_plus_params(n, m, f, beta, theta=DEFAULT_THETA, budget=500):
     """All three heuristics combined: complete-graph coupling, zero slack,
-    norm-minimizing routing. The returned bundle is meant to be run in the
-    lifted form with the complete-graph laplacian."""
+    norm-minimizing routing."""
     routing = optimize_routing(n, m, f, beta, budget=budget)
     causal = CausalPair(routing.H, routing.K, np.asarray(f, dtype=int)) if m else CausalPair.empty(n)
-    m_mat = factor_laplacian(complete_laplacian(n))
+    m_mat = factor_laplacian(graph_laplacian(complete_graph(n)))
     return assemble(m_mat, None, causal, np.asarray(beta, dtype=float), theta)

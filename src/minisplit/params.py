@@ -30,6 +30,9 @@ _RANK_RTOL = 1e-10
 _NULL_TOL = 1e-9
 _SUM_TOL = 1e-9
 _PSD_TOL = 1e-8
+#: Relaxation of every preset and CLI run that does not pin one; any theta in
+#: (0, 1) is admissible, and ``SplittingParams`` rejects the rest.
+DEFAULT_THETA = 0.9
 
 
 def _freeze(arr):
@@ -200,13 +203,6 @@ def factor_slack(s_target, m_mat, w_mat):
     if np.max(np.abs(resid.sum(axis=1))) > 1e-8 * scale:
         raise ParameterError("slack residual must have zero row sums")
     return psd_factor(resid, ref=float(np.max(np.abs(s_target))), label="slack residual")
-
-
-def complete_laplacian(n):
-    """Graph laplacian of the complete graph: n I - 1 1^T."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    return n * np.eye(n) - np.ones((n, n))
 
 
 def factor_laplacian(lap):

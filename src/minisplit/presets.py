@@ -5,29 +5,33 @@ passes validation. The CLI's method identifiers are ``bench.METHOD_NAMES``.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError, StepSizeViolationError
 from .graphs import graph_laplacian
-from .params import SplittingParams, factor_laplacian, forward_penalty, from_components
+from .params import (DEFAULT_THETA, SplittingParams, factor_laplacian, forward_penalty,
+                     from_components)
 from .schedule import CausalPair
 
 
 @dataclass(frozen=True)
 class MethodDescriptor:
-    """A named, validated method instance.
+    """A named, validated method instance; it runs its bundle in minimal form.
 
-    A ``laplacian`` (the coupling laplacian M M^T) makes the method run in
-    the lifted form; without one it runs in the minimal form. Per-edge
-    forward methods order their forward oracles by :func:`agfb_edge_order`.
+    Per-edge forward methods order their forward oracles by
+    :func:`agfb_edge_order`.
     """
 
     name: str
     params: SplittingParams
-    laplacian: Optional[np.ndarray] = None
     notes: str = ""
+
+    @property
+    def laplacian(self):
+        """The bundle's coupling laplacian M M^T. Kept only for the benchmark's
+        residual-form test, which reads it; nothing in the library does."""
+        return self.params.M @ self.params.M.T
 
 
 def _edge_routing(n, edges):
@@ -44,7 +48,7 @@ def _edge_routing(n, edges):
     return CausalPair(h_mat, k_mat, np.searchsorted(targets, np.arange(1, n + 1), side="right"))
 
 
-def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9):
+def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=DEFAULT_THETA):
     """Three-operator splitting on two resolvents plus forward terms.
 
     ``theta_bar`` scales the coupling (lambda^2 = theta_bar / gamma); the
@@ -89,7 +93,7 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=0.9)
     )
 
 
-def graph_drs_params(g, g_prime, theta=0.9):
+def graph_drs_params(g, g_prime, theta=DEFAULT_THETA):
     """Resolvent-only splitting devised by a pair of nested graphs.
 
     The coupling factors the laplacian of ``g``; the step matrix equals the
@@ -110,7 +114,7 @@ def graph_drs_params(g, g_prime, theta=0.9):
     )
 
 
-def gfb_params(g, g_f, beta, theta=0.9):
+def gfb_params(g, g_f, beta, theta=DEFAULT_THETA):
     """Forward-backward splitting devised by graphs: m = n-1 uniform forwards.
 
     ``g`` fixes both the coupling and the step matrix S = (1 + beta/2) L(g);
@@ -151,14 +155,13 @@ def agfb_edge_order(g):
     return tuple(sorted(g.edges, key=lambda e: (e[1], e[0])))
 
 
-def agfb_params(g, beta_edges, theta=0.9):
+def agfb_params(g, beta_edges, theta=DEFAULT_THETA):
     """Adapted graph forward-backward: one forward operator per edge.
 
     The operator on edge (h, i) is evaluated at the output of resolvent h
     just before resolvent i runs; its output feeds resolvent i only. The
     resulting per-resolvent step is 2 / (d_i + (sum of incident betas)/2) and
-    coupling coefficients are 1 + beta on each edge. Runs in lifted form on
-    the graph laplacian.
+    coupling coefficients are 1 + beta on each edge.
     """
     order = agfb_edge_order(g)
     beta_vec = np.array([float(beta_edges.get(e, 0.0)) for e in order])
@@ -176,6 +179,5 @@ def agfb_params(g, beta_edges, theta=0.9):
     return MethodDescriptor(
         name="aGFB",
         params=params,
-        laplacian=lap,
         notes=f"per-edge forwards on {g.edges}",
     )

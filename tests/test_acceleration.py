@@ -1,17 +1,22 @@
 """Anderson-accelerated runs: oracle frugality, the safeguard, the reported
 point, and the reference solutions built on them."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import params_for_problem, random_affine_problem
-from minisplit.bench import execute, method_for_problem, reference_solution
+from minisplit.bench import (
+    METHOD_NAMES,
+    execute,
+    method_for_problem,
+    reference_solution,
+    required_forward_count,
+)
 from minisplit.engine import extract_solution, run, run_lifted
 from minisplit.errors import DivergenceError
+from minisplit.graphs import complete_graph, graph_laplacian
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
 from minisplit.presets import davis_yin_params
 from minisplit.problems import (
@@ -112,8 +117,10 @@ class TestAcceleratedLoop:
 
     def test_lifted_state_keeps_zero_sum(self, rejecting):
         prob, desc = rejecting
-        report = execute(desc, prob, 600, rel_stop=0.0, record_objective=False, trace=True,
-                         accelerate=True)
+        report = run_lifted(graph_laplacian(complete_graph(prob.n)), desc.params.causal,
+                            desc.params.beta, desc.params.theta, prob, max_iters=600, rel_stop=0.0,
+                            record_objective=False, trace=True, accelerate=True)
+        assert np.count_nonzero(~accepted_mask(report.fp_residual)) >= 5
         drift = max(float(np.linalg.norm(w.sum(axis=0))) for w in report.state_trace)
         scale = max(float(np.max(np.abs(w))) for w in report.state_trace)
         assert drift <= 1e-8 * max(scale, 1.0)
@@ -175,29 +182,19 @@ class TestPlainPathUnchanged:
         b = run(params, prob, max_iters=60, rel_stop=0.0, trace=True, accelerate=False)
         self._assert_same(a, b, tmp_path)
 
-    def test_lifted_form_through_execute(self, tmp_path):
-        prob = gen_toy_problem(ToyProblemConfig(seed=1, hetero=True))
-        desc = method_for_problem("sfb+", prob, design_seed=1)
-        assert desc.laplacian is not None
-        a = execute(desc, prob, 80, trace=True)
-        b = execute(desc, prob, 80, trace=True, accelerate=False)
-        self._assert_same(a, b, tmp_path)
-        c = run_lifted(desc.laplacian, desc.params.causal, desc.params.beta, desc.params.theta,
-                       prob, max_iters=80, rel_stop=1e-14, trace=True, accelerate=False)
-        self._assert_same(a, c, tmp_path)
-        # without a laplacian the same descriptor runs in minimal form
-        minimal = dataclasses.replace(desc, laplacian=None)
-        d = execute(minimal, prob, 80, trace=True)
-        e = run(desc.params, prob, max_iters=80, rel_stop=1e-14, trace=True)
-        self._assert_same(d, e, tmp_path)
-        # agfb carries its graph laplacian and runs in lifted form too
-        prob = gen_toy_problem(ToyProblemConfig(seed=2, m=10, hetero=True))
-        desc = method_for_problem("agfb", prob, design_seed=2)
-        assert desc.laplacian is not None
-        f = execute(desc, prob, 80, trace=True)
-        g = run_lifted(desc.laplacian, desc.params.causal, desc.params.beta, desc.params.theta,
-                       prob, max_iters=80, rel_stop=1e-14, trace=True)
-        self._assert_same(f, g, tmp_path)
+    def test_every_preset_through_execute(self, tmp_path):
+        # every preset runs the bundle it carries, in minimal form
+        for name in METHOD_NAMES:
+            n = 2 if name in ("dy", "drs") else 4
+            m = required_forward_count(name, n)
+            prob = gen_toy_problem(ToyProblemConfig(n=n, d=4, p=6, m=3 if m is None else m,
+                                                    seed=1, hetero=True))
+            desc = method_for_problem(name, prob, design_seed=1)
+            a = execute(desc, prob, 80, trace=True)
+            b = execute(desc, prob, 80, trace=True, accelerate=False)
+            self._assert_same(a, b, tmp_path)
+            c = run(desc.params, prob, max_iters=80, rel_stop=1e-14, trace=True)
+            self._assert_same(a, c, tmp_path)
 
     @staticmethod
     def _assert_same(a, b, tmp_path):

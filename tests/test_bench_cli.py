@@ -150,6 +150,19 @@ class TestCompare:
             compare(["sfb+"], ToyProblemConfig(n=3, d=4, p=6, m=2), out_dir=tmp_path / "c5", **counts)
         assert not (tmp_path / "c5").exists()
 
+    @pytest.mark.parametrize("methods, message", [
+        (["gfb", "nosuch"], "unknown method 'nosuch'"),
+        (["gfb", "sdy", "gfb"], "listed once"),
+    ], ids=["unknown", "repeated"])
+    def test_method_names_checked_before_any_work(self, methods, message, tmp_path,
+                                                  monkeypatch):
+        solved = _count_references(monkeypatch)
+        with pytest.raises(ParameterError, match=message):
+            compare(methods, ToyProblemConfig(n=3, d=4, p=6, m=2), 1, tmp_path / "c6",
+                    iters=10, reference_iters=10)
+        assert solved == []
+        assert not (tmp_path / "c6").exists()
+
     def test_reference_needs_an_iteration(self, toy):
         _, prob = toy
         with pytest.raises(ParameterError, match="iters"):
@@ -294,6 +307,16 @@ class TestCli:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["sfb+", "sfb+randp"])
+    def test_sidecar_params_replay_the_preset(self, name, tmp_path):
+        argv = ["run", "--problem", "toy", "--iters", "200", "--seed", "3"]
+        assert cli.main([*argv, "--method", name, "--out", str(tmp_path / "preset.csv")]) == 0
+        sidecar = json.loads((tmp_path / "preset.json").read_text())
+        (tmp_path / "p.json").write_text(json.dumps(sidecar["params"]))
+        assert cli.main([*argv, "--method", str(tmp_path / "p.json"),
+                         "--out", str(tmp_path / "replay.csv")]) == 0
+        assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
+
     def test_run_validates_once(self, tmp_path, validations):
         code = cli.main([
             "run", "--problem", "toy", "--method", "agfb", "--iters", "5",
@@ -334,6 +357,18 @@ class TestCli:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["methods"]) == {"sfb+", "sdy"}
+
+    @pytest.mark.parametrize("methods, message", [
+        ("gfb,nosuch", "unknown method 'nosuch'"),
+        ("gfb,gfb", "listed once"),
+    ], ids=["unknown", "repeated"])
+    def test_bench_bad_method_list_exits_1(self, methods, message, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = cli.main(["bench", "--suite", "toy-homo", "--methods", methods, "--repeats", "2",
+                         "--out", str(out), "--iters", "10", "--reference-iters", "10"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--iters", "--reference-iters", "--repeats"])
     def test_bench_count_below_one_exits_1(self, flag, tmp_path, capsys):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minisplit.errors import ParameterError
+from minisplit.graphs import complete_graph, graph_laplacian
 from minisplit.heuristics import ROUTING_TOL, optimize_routing, sfb_plus_params
 from minisplit.linalg import spectral_norm
-from minisplit.params import complete_laplacian, validate_params
+from minisplit.params import validate_params
 from minisplit.schedule import is_causal_pair, random_causal_pair, random_schedule, support_masks
 
 
@@ -63,12 +64,13 @@ PINNED_OBJECTIVES = [
 class TestHeuristicLaplacian:
     def test_matches_complete_graph(self):
         np.testing.assert_array_equal(
-            complete_laplacian(3), [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+            graph_laplacian(complete_graph(3)),
+            [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]],
         )
 
     def test_connectivity_and_norm(self):
         for n in range(2, 9):
-            vals = np.sort(np.linalg.eigvalsh(complete_laplacian(n)))
+            vals = np.sort(np.linalg.eigvalsh(graph_laplacian(complete_graph(n))))
             assert abs(vals[1] - n) < 1e-12  # algebraic connectivity
             assert abs(vals[-1] - n) < 1e-12  # spectral norm
 
@@ -229,7 +231,7 @@ class TestSfbPlus:
 
     def test_resolvent_only(self):
         params = sfb_plus_params(3, 0, [0, 0, 0], np.zeros(0))
-        np.testing.assert_allclose(params.S, complete_laplacian(3), atol=1e-12)
+        np.testing.assert_allclose(params.S, graph_laplacian(complete_graph(3)), atol=1e-12)
         np.testing.assert_allclose(params.gamma, 1.0, atol=1e-12)
 
     def test_validates_across_random_instances(self):

@@ -10,7 +10,6 @@ from minisplit.errors import NotRepresentableError, ParameterError
 from minisplit.graphs import complete_graph, graph_laplacian, path_graph
 from minisplit.params import (
     assemble,
-    complete_laplacian,
     factor_laplacian,
     factor_slack,
     from_components,
@@ -32,13 +31,13 @@ def _dy_pair(m=1):
 class TestCompleteLaplacian:
     def test_small_values(self):
         np.testing.assert_array_equal(
-            complete_laplacian(3), [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+            graph_laplacian(complete_graph(3)), [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
         )
-        np.testing.assert_array_equal(complete_laplacian(2), [[1, -1], [-1, 1]])
+        np.testing.assert_array_equal(graph_laplacian(complete_graph(2)), [[1, -1], [-1, 1]])
 
     def test_spectrum(self):
         for n in range(2, 9):
-            vals = np.sort(np.linalg.eigvalsh(complete_laplacian(n)))
+            vals = np.sort(np.linalg.eigvalsh(graph_laplacian(complete_graph(n))))
             np.testing.assert_allclose(vals[0], 0.0, atol=1e-12)
             np.testing.assert_allclose(vals[1:], n, atol=1e-12)
 
@@ -65,7 +64,7 @@ class TestRandomCoupling:
 class TestFactorLaplacian:
     def test_reconstruction(self):
         for n in range(2, 9):
-            lap = complete_laplacian(n)
+            lap = graph_laplacian(complete_graph(n))
             m_mat = factor_laplacian(lap)
             assert m_mat.shape == (n, n - 1)
             np.testing.assert_allclose(m_mat @ m_mat.T, lap, atol=1e-10 * n)
@@ -101,9 +100,9 @@ class TestAssemble:
         np.testing.assert_array_equal(params.L, [[0.0, 0.0], [2.0, 0.0]])
 
     def test_resolvent_only_complete_coupling(self):
-        m_mat = factor_laplacian(complete_laplacian(3))
+        m_mat = factor_laplacian(graph_laplacian(complete_graph(3)))
         params = assemble(m_mat, None, None, np.zeros(0), 0.9)
-        np.testing.assert_allclose(params.S, complete_laplacian(3), atol=1e-12)
+        np.testing.assert_allclose(params.S, graph_laplacian(complete_graph(3)), atol=1e-12)
         np.testing.assert_allclose(params.gamma, 1.0, atol=1e-12)
 
     def test_rank_deficient_coupling_rejected(self):
@@ -121,7 +120,7 @@ class TestAssemble:
             assemble(m_mat, None, None, np.zeros(0), 1.0)
 
     def test_degenerate_step_matrix_rejected(self):
-        m_mat = factor_laplacian(complete_laplacian(3))
+        m_mat = factor_laplacian(graph_laplacian(complete_graph(3)))
         s_bad = np.diag([0.0, 1.0, 1.0])
         with pytest.raises(ParameterError):
             from_components(m_mat, s_bad, None, np.zeros(0), 0.9)
@@ -162,7 +161,7 @@ class TestFactorSlack:
 
     def test_indefinite_residual_rejected(self):
         params = random_params(1, n=3, m=0)
-        s_target = params.S - 0.5 * complete_laplacian(3)
+        s_target = params.S - 0.5 * graph_laplacian(complete_graph(3))
         with pytest.raises(NotRepresentableError):
             factor_slack(s_target, params.M, params.W)
 
