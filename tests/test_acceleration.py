@@ -220,13 +220,27 @@ class TestReferenceSolution:
         problem = gen_toy_problem(ToyProblemConfig(seed=2, hetero=True, m=m))
         self._check(problem, 2, PLAIN_COMPARE_SEED_2[m])
 
-    @staticmethod
-    def _check(problem, seed, f_plain, cap=25_000):
-        desc = method_for_problem("sfb+", problem, design_seed=seed)
-        report = execute(desc, problem, cap, rel_stop=1e-13, record_objective=False,
-                         accelerate=True)
+    def test_portfolio_seed_3_converges(self):
+        # accelerated in minimal form this reference ends max_iters at 1.3e-5
+        # of the first residual; the lifted run reaches the relative stop
+        problem = gen_portfolio_problem(PortfolioProblemConfig(seed=3))
+        report = self._lifted_run(problem, 3, 30_000)
+        assert report.termination == "relative_stop"
+        _, x_ref = reference_solution(problem, design_seed=3)
+        np.testing.assert_array_equal(x_ref, report.consensus)
+
+    @classmethod
+    def _check(cls, problem, seed, f_plain, cap=25_000):
+        report = cls._lifted_run(problem, seed, cap)
         assert report.termination == "relative_stop"
         assert report.iterations <= cap // 10
         f_ref, x_ref = reference_solution(problem, iters=cap, design_seed=seed)
         np.testing.assert_array_equal(x_ref, report.consensus)
         assert abs(f_ref - f_plain) <= 1e-9 * max(1.0, abs(f_plain))
+
+    @staticmethod
+    def _lifted_run(problem, seed, cap):
+        params = method_for_problem("sfb+", problem, design_seed=seed).params
+        return run_lifted(graph_laplacian(complete_graph(problem.n)), params.causal, params.beta,
+                          params.theta, problem, max_iters=cap, rel_stop=1e-13,
+                          record_objective=False, accelerate=True)

@@ -235,7 +235,7 @@ class TestAgfb:
         desc = agfb_params(g, beta_edges, theta=0.9)
         prob = random_affine_problem(rng, n, len(order), d, beta=desc.params.beta)
         report = run_lifted(
-            desc.laplacian, desc.params.causal, desc.params.beta, 0.9, prob,
+            graph_laplacian(g), desc.params.causal, desc.params.beta, 0.9, prob,
             max_iters=80, rel_stop=0.0, record_objective=False, trace=True,
         )
 
