@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .engine import DEFAULT_REL_STOP, run, run_lifted
+from .engine import DEFAULT_REL_STOP, extract_solution, run, run_lifted
 from .errors import ParameterError
 from .graphs import complete_graph, graph_laplacian, path_graph, ring_graph
 from .heuristics import sfb_plus_params
@@ -98,14 +98,11 @@ def method_for_problem(name, problem, design_seed=0, theta=DEFAULT_THETA):
 
 
 def execute(method, problem, iters, *, stop=0.0, rel_stop=DEFAULT_REL_STOP, record_objective=True,
-            trace=False, accelerate=False):
-    """Run a descriptor's bundle in minimal form, from the zero state.
-
-    ``accelerate`` turns on the engine's safeguarded Anderson acceleration;
-    compared runs never use it, so they follow their method's own iteration.
-    """
+            trace=False):
+    """Run a descriptor's bundle in minimal form, from the zero state, without
+    acceleration, so the run follows its method's own iteration."""
     return run(method.params, problem, max_iters=iters, stop=stop, rel_stop=rel_stop,
-               record_objective=record_objective, trace=trace, accelerate=accelerate)
+               record_objective=record_objective, trace=trace)
 
 
 def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=False, config=None, trace=False):
@@ -190,7 +187,7 @@ def metric_series(report, metric, f_ref, x_ref):
         if report.x_trace is None:
             raise ParameterError("distance metric needs a traced run")
         return np.array(
-            [float(np.linalg.norm(x.mean(axis=0) - x_ref)) for x in report.x_trace]
+            [float(np.linalg.norm(extract_solution(x) - x_ref)) for x in report.x_trace]
         )
     raise ParameterError(f"unknown metric {metric!r}")
 

@@ -33,11 +33,7 @@ ANDERSON_DEPTH = 10
 #: Tikhonov weight of the extrapolation's least-squares problem, relative to
 #: the trace of its Gram matrix.
 _ANDERSON_REG = 1e-12
-#: An accelerated run with a relative target ends as ``stalled`` once an
-#: accepted residual is within ``_FLOOR_ULPS`` ulps of the norm of T(state)
-#: and the accepted residuals have not halved over ``_STALL_WINDOW``
-#: evaluations: rounding then keeps the residual above a target that lies
-#: below it.
+#: The stall rule of :class:`_Monitor`.
 _FLOOR_ULPS = 1e4
 _STALL_WINDOW = 1000
 
@@ -276,92 +272,96 @@ def _checked_bundle(params, problem):
     return report
 
 
+class _Monitor:
+    """The records and every ending of one run, fed once per evaluation.
+
+    ``observe`` records the residual, the sweep's consensus variance and
+    objective and the time, and returns a termination or None. Accepted
+    evaluations alone end a run, tested in order: divergence, ``stop``,
+    ``rel_stop`` times the first residual and, with ``stall``, a residual
+    within ``_FLOOR_ULPS`` ulps of ||T(state)|| that has not halved over
+    ``_STALL_WINDOW`` evaluations: rounding keeps it above any lower target.
+    """
+
+    def __init__(self, problem, stop, rel_stop, objective, stall):
+        self.stop, self.rel_stop, self.objective, self.stall = stop, rel_stop, objective, stall
+        self.records = {"fp_residual": [], "variance": [], "objective": [], "elapsed_ms": []}
+        self.lists = tuple(self.records.values())
+        self.sweep = tuple(np.zeros((k, problem.dimension)) for k in (problem.n, problem.m, problem.n))
+        # first residual, its divergence bound, residual and evaluation at the last halving
+        self.initial, self.blowup, self.halved_res, self.halved_k = None, None, math.inf, 0
+        self.t0 = time.perf_counter()
+
+    def observe(self, res, sweep, image, accepted):
+        fp_res, variances, objectives, elapsed = self.lists
+        x = sweep[0]
+        fp_res.append(res)
+        variances.append(consensus_variance(x))
+        objectives.append(float("nan") if self.objective is None
+                          else float(self.objective(extract_solution(x))))
+        elapsed.append((time.perf_counter() - self.t0) * 1e3)
+        if not accepted:
+            return None
+        self.sweep = sweep
+        if self.initial is None:
+            self.initial, self.blowup = res, _DIVERGENCE_FACTOR * max(res, 1e-300)
+        if res > self.blowup:
+            raise DivergenceError(f"fixed-point residual grew to {res:.3e} from {self.initial:.3e}; "
+                                  "parameters or oracle constants are inconsistent")
+        if res <= self.stop:
+            return "stop_threshold"
+        if res <= self.rel_stop * self.initial:
+            return "relative_stop"
+        if self.stall:
+            k = len(fp_res) - 1
+            if res <= 0.5 * self.halved_res:
+                self.halved_res, self.halved_k = res, k
+            elif (k - self.halved_k >= _STALL_WINDOW
+                  and res <= _FLOOR_ULPS * _EPS * float(np.linalg.norm(image))):
+                return "stalled"
+        return None
+
+
 def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, stop, *,
                       rel_stop, record_objective, trace, accelerate):
     validation = _checked_bundle(params, problem)
     theta = params.theta
-    objective_fn = problem.objective if record_objective else None
     anderson = _Anderson() if accelerate else None
     state = state0
     # the first sweep checks the shape of every oracle output, later ones
     # run unchecked
     plan = _sweep_plan(problem, params, check_dim=problem.dimension)
-    t0 = time.perf_counter()
-
-    fp_res, variances, objectives, elapsed = [], [], [], []
+    monitor = _Monitor(problem, stop, rel_stop, problem.objective if record_objective else None,
+                       stall=accelerate and rel_stop > 0.0)
     x_trace = [] if trace else None
     state_trace = [state0.copy()] if trace else None
-    x = np.zeros((problem.n, problem.dimension))
-    u = np.zeros((problem.m, problem.dimension))
-    inputs = np.zeros_like(x)
-    termination = "max_iters"
-    initial = None
-    # accepted residual and evaluation at the last halving, for the stall stop
-    halved_res, halved_k = math.inf, 0
-
+    termination = None
     for k in range(max_iters):
-        x_k, u_k, inputs_k = _sweep(plan, to_drive(state))
+        sweep = _sweep(plan, to_drive(state))
         if not k:
             plan = _sweep_plan(problem, params)
-        new_state = advance(state, x_k)
+        new_state = advance(state, sweep[0])
         step = (new_state - state).ravel()
         res = math.sqrt(step @ step) / theta
         if anderson is None:
             state, accepted = new_state, True
         else:
             state, accepted = anderson.step(state, new_state, res)
-
-        fp_res.append(res)
-        variances.append(consensus_variance(x_k))
-        if objective_fn is not None:
-            objectives.append(float(objective_fn(extract_solution(x_k))))
-        else:
-            objectives.append(float("nan"))
-        elapsed.append((time.perf_counter() - t0) * 1e3)
+        termination = monitor.observe(res, sweep, new_state, accepted)
         if trace:
             # every sweep and every accepted state is a new array; only a
             # rejected step returns a state that may already be in the trace
-            x_trace.append(x_k)
+            x_trace.append(sweep[0])
             state_trace.append(state if accepted else state.copy())
-        if not accepted:
-            continue
-        x, u, inputs = x_k, u_k, inputs_k
-
-        if initial is None:
-            initial = res
-        if res > _DIVERGENCE_FACTOR * max(initial, 1e-300):
-            raise DivergenceError(
-                f"fixed-point residual grew to {res:.3e} from {initial:.3e}; "
-                "parameters or oracle constants are inconsistent"
-            )
-        if res <= stop:
-            termination = "stop_threshold"
+        if termination is not None:
             break
-        if res <= rel_stop * initial:
-            termination = "relative_stop"
-            break
-        if anderson is not None and rel_stop > 0.0:
-            if res <= 0.5 * halved_res:
-                halved_res, halved_k = res, k
-            elif (k - halved_k >= _STALL_WINDOW
-                  and res <= _FLOOR_ULPS * _EPS * float(np.linalg.norm(new_state))):
-                termination = "stalled"
-                break
 
+    x, u, inputs = monitor.sweep
     a = inputs - x / params.gamma[:, None]
-    inclusion = float(np.linalg.norm(a.sum(axis=0) + u.sum(axis=0)))
-    return RunReport(
-        fp_residual=np.asarray(fp_res),
-        variance=np.asarray(variances),
-        objective=np.asarray(objectives),
-        elapsed_ms=np.asarray(elapsed),
-        final_x=x,
-        inclusion_residual=inclusion,
-        termination=termination,
-        validation=validation,
-        x_trace=x_trace,
-        state_trace=state_trace,
-    )
+    return RunReport(**{name: np.asarray(rec) for name, rec in monitor.records.items()},
+                     final_x=x, inclusion_residual=float(np.linalg.norm(a.sum(axis=0) + u.sum(axis=0))),
+                     termination=termination or "max_iters", validation=validation, x_trace=x_trace,
+                     state_trace=state_trace)
 
 
 def run(

@@ -154,7 +154,10 @@ def _barrier_routing(x0, sigma0, moves, budget):
             # Jacobi scaling: near the optimum the t entry outgrows the moves
             # that leave the top singular pair alone by the inverse squared gap
             scale = 1.0 / np.sqrt(np.diag(hess))
-            step = -scale * np.linalg.solve(hess * scale[:, None] * scale[None, :], grad * scale)
+            try:
+                step = -scale * np.linalg.solve(hess * scale[:, None] * scale[None, :], grad * scale)
+            except np.linalg.LinAlgError:
+                break  # numerically singular Newton system: as centered as it gets
             decrement = -float(grad @ step)
             if decrement <= 2.0 * _CENTERING_TOL:
                 break

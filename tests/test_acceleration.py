@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import params_for_problem, random_affine_problem
+from minisplit import engine
 from minisplit.bench import (
     METHOD_NAMES,
     execute,
@@ -88,7 +89,8 @@ class TestAcceleratedLoop:
     def test_each_oracle_once_per_iteration_rejections_included(self, rejecting):
         prob, desc = rejecting
         counted, res_c, fwd_c = counting_problem(prob)
-        report = execute(desc, counted, 600, rel_stop=0.0, record_objective=False, accelerate=True)
+        report = run(desc.params, counted, max_iters=600, rel_stop=0.0, record_objective=False,
+                     accelerate=True)
         assert report.iterations == 600
         assert np.count_nonzero(~accepted_mask(report.fp_residual)) >= 5
         assert [c.count for c in res_c + fwd_c] == [600] * (prob.n + prob.m)
@@ -102,10 +104,10 @@ class TestAcceleratedLoop:
 
     def test_cap_mid_rejection_reports_last_accepted_iterate(self, rejecting):
         prob, desc = rejecting
-        long = execute(desc, prob, 600, rel_stop=0.0, trace=True, accelerate=True)
+        long = run(desc.params, prob, max_iters=600, rel_stop=0.0, trace=True, accelerate=True)
         mask = accepted_mask(long.fp_residual)
         cap = int(np.argmin(mask)) + 1  # the first rejection is the last evaluation
-        report = execute(desc, prob, cap, rel_stop=0.0, trace=True, accelerate=True)
+        report = run(desc.params, prob, max_iters=cap, rel_stop=0.0, trace=True, accelerate=True)
         assert report.termination == "max_iters" and report.iterations == cap
         np.testing.assert_array_equal(report.fp_residual, long.fp_residual[:cap])
         last_good = report.x_trace[cap - 2]
@@ -153,6 +155,24 @@ class TestAcceleratedLoop:
         assert capped.termination == "max_iters"
         assert capped.iterations == report.iterations + 100
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_only_accelerated_runs_stall(self, seed):
+        # the plain run sits within the rounding floor of its state from sweep
+        # 60-111 on, yet only the accelerated run ends as stalled
+        prob = gen_toy_problem(ToyProblemConfig(n=3, m=2, d=5, p=8, seed=seed))
+        params = method_for_problem("sfb+", prob, design_seed=seed).params
+        plain = run(params, prob, max_iters=1500, rel_stop=1e-20, record_objective=False,
+                    trace=True)
+        assert plain.termination == "max_iters" and plain.iterations == 1500
+        floor = engine._FLOOR_ULPS * engine._EPS * np.array(
+            [np.linalg.norm(z) for z in plain.state_trace[1:]])
+        below = plain.fp_residual <= floor
+        first = int(np.argmax(below))
+        assert below[first:].all() and first + engine._STALL_WINDOW < 1500
+        fast = run(params, prob, max_iters=1500, rel_stop=1e-20, record_objective=False,
+                   accelerate=True)
+        assert fast.termination == "stalled"
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 5), m=st.integers(0, 3),
            d=st.integers(1, 4))
@@ -191,10 +211,8 @@ class TestPlainPathUnchanged:
                                                     seed=1, hetero=True))
             desc = method_for_problem(name, prob, design_seed=1)
             a = execute(desc, prob, 80, trace=True)
-            b = execute(desc, prob, 80, trace=True, accelerate=False)
+            b = run(desc.params, prob, max_iters=80, rel_stop=1e-14, trace=True, accelerate=False)
             self._assert_same(a, b, tmp_path)
-            c = run(desc.params, prob, max_iters=80, rel_stop=1e-14, trace=True)
-            self._assert_same(a, c, tmp_path)
 
     @staticmethod
     def _assert_same(a, b, tmp_path):

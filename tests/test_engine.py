@@ -159,6 +159,14 @@ class TestRun:
         assert report.fp_residual[0] == 0.0
         assert report.termination == "stop_threshold"
 
+    @pytest.mark.parametrize("accelerate", [False, True])
+    def test_absolute_stop_wins_when_both_stops_hold(self, accelerate):
+        prob = gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2, seed=0))
+        params = params_for_problem(prob, 11)
+        report = run(params, prob, max_iters=50, stop=np.inf, rel_stop=1.0, accelerate=accelerate)
+        assert report.iterations == 1
+        assert report.termination == "stop_threshold"
+
     def test_residual_monotone_under_relaxed_iteration(self):
         rng = np.random.default_rng(3)
         params = random_params(3, n=4, m=2)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minisplit.errors import ParameterError
@@ -20,6 +20,24 @@ def grid_oracle_single_forward(beta):
     a = np.arange(0.0, 1.0 + 1e-4, 1e-4)
     vals = np.sqrt(beta * (1.0 + a**2 + (1.0 - a) ** 2))
     return float(np.min(vals))
+
+
+#: (seed, n, m) draws of the routing property whose scaled Newton system is
+#: numerically singular (for example rank 31 of 37 at condition number 3e17).
+SINGULAR_NEWTON_DRAWS = [
+    (105798471, 8, 6),
+    (1257791212, 4, 6),
+    (1718211077, 8, 6),
+    (304131479, 4, 5),
+    (107934570, 4, 4),
+]
+
+
+def property_instance(seed, n, m):
+    """The routing property's instance: schedule and beta uniform on [0.1, 3]
+    drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return random_schedule(n, m, seed), rng.uniform(0.1, 3.0, m)
 
 
 def routing_instance(seed):
@@ -177,16 +195,29 @@ class TestRoutingCertificate:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 8), m=st.integers(1, 6))
+    @example(*SINGULAR_NEWTON_DRAWS[0])
+    @example(*SINGULAR_NEWTON_DRAWS[1])
+    @example(*SINGULAR_NEWTON_DRAWS[2])
+    @example(*SINGULAR_NEWTON_DRAWS[3])
+    @example(*SINGULAR_NEWTON_DRAWS[4])
     def test_every_feasible_pair_is_above_the_bound(self, seed, n, m):
-        rng = np.random.default_rng(seed)
-        f = random_schedule(n, m, seed)
-        beta = rng.uniform(0.1, 3.0, m)
+        f, beta = property_instance(seed, n, m)
         res = optimize_routing(n, m, f, beta)
         root_beta = np.sqrt(beta)[:, None]
         for k in range(5):
             pair = random_causal_pair(n, m, f, seed=seed + k)
             value = spectral_norm(root_beta * (pair.K - pair.H.T))
             assert value >= res.lower_bound * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("seed, n, m", SINGULAR_NEWTON_DRAWS)
+    def test_singular_newton_system_ends_its_stage(self, seed, n, m):
+        # a numerically singular Newton system ends the centering stage, and
+        # the later stages still close the certified gap
+        f, beta = property_instance(seed, n, m)
+        res = optimize_routing(n, m, f, beta)
+        assert res.converged
+        assert res.objective - res.lower_bound <= ROUTING_TOL * res.objective
+        assert validate_params(sfb_plus_params(n, m, f, beta)).passed
 
     def test_bound_holds_when_the_budget_runs_out(self):
         # the certificate is a projection, valid at any iterate
