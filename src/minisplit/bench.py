@@ -111,14 +111,16 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     The sidecar echoes the configuration and carries the final metrics, the
     validation report of the bundle that ran (``RunReport.validation``) and
     the serialized parameters, which replay the run when loaded as the
-    method. CSV bytes are identical for identical (method, problem, seed)
-    unless ``timing`` is on.
+    method: bitwise for bundles built by ``assemble`` (sfb+, sfb+randp), to
+    rounding for presets that pin S with ``from_components`` (loading
+    re-derives S). CSV bytes are identical for identical (method, problem,
+    seed) unless ``timing`` is on.
     """
     report = execute(method, problem, iters, stop=stop, trace=trace)
     report.write_csv(out_path, timing=timing)
 
     final = report.final_record()
-    final["wall_time_s"] = float(report.elapsed_ms[-1] / 1e3) if report.iterations else 0.0
+    final["wall_time_s"] = float(report.elapsed_ms[-1] / 1e3)
     sidecar = {
         "config": config or {},
         "method": {"name": method.name, "notes": method.notes},
@@ -164,7 +166,6 @@ def reference_solution(problem, iters=30_000, design_seed=0):
     its own Anderson history, can stall short of the optimum (default
     portfolio seed 3 ends ``max_iters`` at 1.3e-5 of the first residual).
     """
-    _require_positive(iters=iters)
     params = method_for_problem("sfb+", problem, design_seed=design_seed).params
     report = run_lifted(graph_laplacian(complete_graph(problem.n)), params.causal, params.beta,
                         params.theta, problem, max_iters=iters, rel_stop=1e-13,

@@ -172,16 +172,14 @@ class RunReport:
     @property
     def consensus_gap(self):
         """Largest distance of a block of ``final_x`` from their average."""
-        x = self.final_x
-        return float(np.max(np.linalg.norm(x - self.consensus, axis=1))) if x.size else 0.0
+        return float(np.max(np.linalg.norm(self.final_x - self.consensus, axis=1)))
 
     def final_record(self):
-        last = self.iterations - 1
-        obj = self.objective[last] if self.iterations else float("nan")
+        obj = self.objective[-1]
         return {
             "iterations": self.iterations,
-            "fp_residual": float(self.fp_residual[last]) if self.iterations else 0.0,
-            "variance": float(self.variance[last]) if self.iterations else 0.0,
+            "fp_residual": float(self.fp_residual[-1]),
+            "variance": float(self.variance[-1]),
             "objective": None if np.isnan(obj) else float(obj),
             "consensus_gap": self.consensus_gap,
             "inclusion_residual": self.inclusion_residual,
@@ -283,11 +281,11 @@ class _Monitor:
     ``_STALL_WINDOW`` evaluations: rounding keeps it above any lower target.
     """
 
-    def __init__(self, problem, stop, rel_stop, objective, stall):
+    def __init__(self, stop, rel_stop, objective, stall):
         self.stop, self.rel_stop, self.objective, self.stall = stop, rel_stop, objective, stall
         self.records = {"fp_residual": [], "variance": [], "objective": [], "elapsed_ms": []}
         self.lists = tuple(self.records.values())
-        self.sweep = tuple(np.zeros((k, problem.dimension)) for k in (problem.n, problem.m, problem.n))
+        self.sweep = None
         # first residual, its divergence bound, residual and evaluation at the last halving
         self.initial, self.blowup, self.halved_res, self.halved_k = None, None, math.inf, 0
         self.t0 = time.perf_counter()
@@ -324,6 +322,8 @@ class _Monitor:
 
 def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, stop, *,
                       rel_stop, record_objective, trace, accelerate):
+    if max_iters < 1:
+        raise ParameterError(f"max_iters must be at least 1, got {max_iters}")
     validation = _checked_bundle(params, problem)
     theta = params.theta
     anderson = _Anderson() if accelerate else None
@@ -331,11 +331,10 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
     # the first sweep checks the shape of every oracle output, later ones
     # run unchecked
     plan = _sweep_plan(problem, params, check_dim=problem.dimension)
-    monitor = _Monitor(problem, stop, rel_stop, problem.objective if record_objective else None,
+    monitor = _Monitor(stop, rel_stop, problem.objective if record_objective else None,
                        stall=accelerate and rel_stop > 0.0)
     x_trace = [] if trace else None
     state_trace = [state0.copy()] if trace else None
-    termination = None
     for k in range(max_iters):
         sweep = _sweep(plan, to_drive(state))
         if not k:
@@ -381,7 +380,8 @@ def run(
     Stops at ``max_iters``, when the residual falls below the absolute ``stop``
     threshold, or below ``rel_stop`` times the first residual. Raises
     :class:`DivergenceError` if the residual grows by a factor 1e6, and
-    :class:`ParameterError` when the bundle fails validation.
+    :class:`ParameterError` when the bundle fails validation or
+    ``max_iters`` is below 1: every run makes at least one sweep.
 
     ``accelerate=True`` applies safeguarded Anderson acceleration to the
     state (see :class:`_Anderson`): each iteration is still one sweep that

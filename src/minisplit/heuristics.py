@@ -231,6 +231,6 @@ def sfb_plus_params(n, m, f, beta, theta=DEFAULT_THETA, budget=500):
     """All three heuristics combined: complete-graph coupling, zero slack,
     norm-minimizing routing."""
     routing = optimize_routing(n, m, f, beta, budget=budget)
-    causal = CausalPair(routing.H, routing.K, np.asarray(f, dtype=int)) if m else CausalPair.empty(n)
+    causal = CausalPair(routing.H, routing.K, np.asarray(f, dtype=int))
     m_mat = factor_laplacian(graph_laplacian(complete_graph(n)))
     return assemble(m_mat, None, causal, np.asarray(beta, dtype=float), theta)

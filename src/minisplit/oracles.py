@@ -11,6 +11,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class ResolventOracle:
@@ -51,11 +53,12 @@ class ProblemSpec:
         object.__setattr__(self, "resolvents", tuple(self.resolvents))
         object.__setattr__(self, "forwards", tuple(self.forwards))
         if self.n < 2:
-            raise ValueError("need at least two resolvent oracles")
+            raise ParameterError("need at least two resolvent oracles")
         if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        if any(f.beta < 0 for f in self.forwards):
-            raise ValueError("cocoercivity parameters must be nonnegative")
+            raise ParameterError("dimension must be positive")
+        for f in self.forwards:
+            if not 0.0 <= f.beta < np.inf:
+                raise ParameterError(f"forward {f.descriptor!r} has beta {f.beta}; need finite >= 0")
 
     @property
     def n(self):

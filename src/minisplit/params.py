@@ -44,9 +44,6 @@ def _freeze(arr):
 def forward_penalty(causal, beta):
     """W = (1/2) (H - K^T) diag(beta) (H^T - K), computed exactly symmetric."""
     beta = np.asarray(beta, dtype=float)
-    n = causal.n
-    if causal.m == 0:
-        return np.zeros((n, n))
     g = (causal.H - causal.K.T) * np.sqrt(beta)[None, :]
     return 0.5 * (g @ g.T)
 
@@ -375,18 +372,20 @@ def _is_integer(value):
 
 
 def _holds_only_numbers(value):
-    """True for a number or a (nested) list of numbers; booleans, strings and
-    nulls are not numbers."""
+    """True for a finite number or a (nested) list of them; booleans,
+    strings, nulls, NaN and infinities are not numbers."""
     if isinstance(value, list):
         return all(_holds_only_numbers(entry) for entry in value)
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if isinstance(value, (float, np.floating)):
+        return bool(np.isfinite(value))
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def params_from_dict(doc):
     """Rebuild a bundle from its serialized form (exact on all stored fields).
 
     A missing key, a field that does not hold the numbers (n, m) call for
-    (``true`` and ``"0.5"`` are not numbers), or an ``n``, ``m`` or ``F``
+    (``true``, ``"0.5"``, NaN and infinities are not), or an ``n``, ``m`` or ``F``
     entry that is not an integer (``3.0`` is not) raises
     :class:`ParameterError` naming it.
     """
@@ -407,7 +406,7 @@ def params_from_dict(doc):
             if not _holds_only_numbers(doc[key]):
                 raise TypeError(key)
             return np.asarray(doc[key], dtype=dtype).reshape(shape)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             dims = " x ".join("k" if size == -1 else str(size) for size in shape)
             what = f"{dims} numbers" if dims else "one number"
             raise ParameterError(f"params field {key} must hold {what} for n={n}, m={m}") from None

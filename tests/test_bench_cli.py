@@ -7,6 +7,7 @@ import pytest
 from minisplit import bench, cli, engine
 from minisplit import params as params_module
 from minisplit.bench import (
+    METHOD_NAMES,
     compare,
     iterations_to_threshold,
     method_for_problem,
@@ -247,8 +248,10 @@ class TestCli:
     def test_malformed_params_document_exits_1(self, command, toy, tmp_path, capsys):
         _, prob = toy
         doc = params_to_dict(method_for_problem("sfb+", prob, design_seed=3).params)
+        non_finite = {**doc, "M": [float("nan")] * 12}
         doc["M"] = doc["M"][:2]
-        for bad_doc, message in (({"n": 4}, "lacks m, F"), (doc, "field M must hold 4 x 3")):
+        for bad_doc, message in (({"n": 4}, "lacks m, F"), (doc, "field M must hold 4 x 3"),
+                                 (non_finite, "field M must hold 4 x 3")):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(bad_doc))
             argv = ["validate", "--params", str(bad)] if command == "validate" else [
@@ -307,15 +310,35 @@ class TestCli:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("name", ["sfb+", "sfb+randp"])
+    @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_sidecar_params_replay_the_preset(self, name, tmp_path):
-        argv = ["run", "--problem", "toy", "--iters", "200", "--seed", "3"]
+        n = 2 if name in ("dy", "drs") else 5
+        need = required_forward_count(name, n)
+        argv = ["run", "--problem", "toy", "--iters", "200", "--seed", "3",
+                "--n", str(n), "--m", str(5 if need is None else need)]
         assert cli.main([*argv, "--method", name, "--out", str(tmp_path / "preset.csv")]) == 0
         sidecar = json.loads((tmp_path / "preset.json").read_text())
         (tmp_path / "p.json").write_text(json.dumps(sidecar["params"]))
         assert cli.main([*argv, "--method", str(tmp_path / "p.json"),
                          "--out", str(tmp_path / "replay.csv")]) == 0
-        assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
+        preset, replay = (tmp_path / "preset.csv").read_bytes(), (tmp_path / "replay.csv").read_bytes()
+        if name in ("sfb+", "sfb+randp"):
+            # built by assemble, so loading rebuilds the very same S
+            assert preset == replay
+        else:
+            # S pinned in closed form; loading re-derives it as M M^T + P P^T + W
+            objective = [np.loadtxt(tmp_path / f, delimiter=",", skiprows=1, usecols=3)
+                         for f in ("preset.csv", "replay.csv")]
+            assert objective[0].shape == objective[1].shape
+            np.testing.assert_allclose(objective[1], objective[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_run_iters_below_one_exits_1(self, iters, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "toy", "--method", "sfb+", "--iters", iters,
+                         "--out", str(tmp_path / "r.csv"), "--n", "3", "--d", "5", "--p", "6", "--m", "2"])
+        assert code == 1
+        assert f"max_iters must be at least 1, got {iters}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_validates_once(self, tmp_path, validations):
         code = cli.main([

@@ -11,7 +11,7 @@ from helpers import (
     random_params,
     three_operator_trajectory,
 )
-from minisplit import engine, linalg
+from minisplit import bench, engine, linalg
 from minisplit.engine import extract_solution, run, run_lifted, split_step
 from minisplit.errors import DivergenceError, ParameterError
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
@@ -197,6 +197,21 @@ class TestRun:
         params = random_params(4, n=3, m=1)
         with pytest.raises(ParameterError):
             run(params, _zero_problem(4, 2), max_iters=2)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    @pytest.mark.parametrize("entry", ["run", "run_lifted", "execute"])
+    def test_a_run_is_at_least_one_sweep(self, entry, max_iters):
+        prob, res_c, fwd_c = counting_problem(gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2)))
+        params = params_for_problem(prob, 11)
+        with pytest.raises(ParameterError, match=f"max_iters must be at least 1, got {max_iters}"):
+            if entry == "run":
+                run(params, prob, max_iters=max_iters)
+            elif entry == "run_lifted":
+                run_lifted(params.M @ params.M.T, params.causal, params.beta, params.theta, prob,
+                           max_iters=max_iters)
+            else:
+                bench.execute(bench.method_for_problem("sfb+", prob), prob, max_iters)
+        assert [c.count for c in res_c + fwd_c] == [0] * 5
 
     @pytest.mark.parametrize(
         "case",
@@ -397,3 +412,16 @@ class TestDiagnostics:
         early = 100 * report.variance[99]
         late = 2000 * report.variance[1999]
         assert late < early
+
+
+@pytest.mark.parametrize("n, beta, d, message", [
+    (2, -1.0, 3, "forward 'bad' has beta -1.0"),
+    (2, np.nan, 3, "forward 'bad' has beta nan"),
+    (2, np.inf, 3, "forward 'bad' has beta inf"),
+    (1, 1.0, 3, "at least two resolvent"),
+    (2, 1.0, 0, "dimension must be positive"),
+], ids=["negative-beta", "nan-beta", "inf-beta", "one-resolvent", "no-dimension"])
+def test_problem_spec_rejects_what_no_run_can_use(n, beta, d, message):
+    res = tuple(ResolventOracle(lambda s, v: v.copy()) for _ in range(n))
+    with pytest.raises(ParameterError, match=message):
+        ProblemSpec(res, (ForwardOracle(lambda x: x, beta, "bad"),), d)

@@ -267,7 +267,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("n", 3.7), ("n", 3.0), ("n", True), ("n", "3"), ("m", 2.5), ("m", False),
-        ("F", [0, 0.6, 2]), ("F", [0, 1, True]),
+        ("F", [0, 0.6, 2]), ("F", [0, 1, True]), ("F", [0, 10**400, 2]),
     ])
     def test_non_integer_size_is_named(self, key, value):
         doc = params_to_dict(random_params(5, n=3, m=2))
@@ -278,7 +278,9 @@ class TestSerialization:
     @pytest.mark.parametrize("key, value", [
         ("beta", [True, 1.0]), ("beta", ["1.0", 1.0]), ("theta", "0.5"), ("theta", True),
         ("M", "0.1"), ("P", [None]), ("H", [[0.5, 0.5], [0.5, False], [0.0, 0.5]]),
-        ("K", [1, 0, 0, "0", 1, 0]),
+        ("K", [1, 0, 0, "0", 1, 0]), ("M", [np.nan] * 6), ("P", [0.0] * 5 + [np.inf]),
+        ("beta", [1.0, -np.inf]), ("H", [np.nan] * 6), ("K", [np.inf] * 6), ("theta", np.nan),
+        ("M", [10**400] * 6),
     ])
     def test_non_numeric_float_field_is_named(self, key, value):
         doc = params_to_dict(random_params(5, n=3, m=2))
