@@ -110,11 +110,10 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
 
     The sidecar echoes the configuration and carries the final metrics, the
     validation report of the bundle that ran (``RunReport.validation``) and
-    the serialized parameters, which replay the run when loaded as the
-    method: bitwise for bundles built by ``assemble`` (sfb+, sfb+randp), to
-    rounding for presets that pin S with ``from_components`` (loading
-    re-derives S). CSV bytes are identical for identical (method, problem,
-    seed) unless ``timing`` is on.
+    the serialized parameters, which replay the run byte for byte when
+    loaded as the method: every preset is built by ``assemble``, as a loaded
+    bundle is. CSV bytes are identical for identical (method, problem, seed)
+    unless ``timing`` is on.
     """
     report = execute(method, problem, iters, stop=stop, trace=trace)
     report.write_csv(out_path, timing=timing)
@@ -214,10 +213,12 @@ def compare(
 
     Per repeat, every method sees the same sampled data; methods with a
     structural forward count get their own split of the smooth term. The toy
-    objective does not depend on the split, so all methods of a toy repeat
-    share one reference solution, solved at the config's own m (at least one
-    block, so the data term is among the operators); a portfolio chunk count
-    changes the covariances, so each count gets its own. Every method runs
+    objective does not depend on a split with m >= 1, so all methods of a
+    toy repeat with forwards share one reference solution, solved at the
+    config's own m (at least one block, so the data term is among the
+    operators), and the methods without forwards, which solve the distance
+    terms alone, share one at m = 0; a portfolio chunk count changes the
+    covariances, so each count gets its own. Every method runs
     with ``DEFAULT_THETA``. The residual metric follows from the family: the
     objective gap for the toy, whose evaluator covers every term, and the
     distance to the reference solution for the portfolio, whose constraints
@@ -247,7 +248,7 @@ def compare(
         for name, need in needs.items():
             m_blocks = default_m if need is None else need
             problem, cfg = _problem_for(problem_config, m_blocks, rep_seed)
-            ref_m = max(default_m, 1) if is_toy else m_blocks
+            ref_m = max(default_m, 1) if is_toy and m_blocks else m_blocks
             if ref_m not in ref_cache:
                 ref_problem = problem
                 if ref_m != m_blocks:

@@ -30,22 +30,25 @@ class GraphSpec:
         object.__setattr__(self, "edges", edges)
 
     def degrees(self):
-        d = np.zeros(self.n, dtype=int)
-        for h, i in self.edges:
-            d[h - 1] += 1
-            d[i - 1] += 1
-        return d
+        return np.count_nonzero(incidence(self.n, self.edges), axis=1)
+
+
+def incidence(n, edges):
+    """n x len(edges) matrix with +1 at each edge's source and -1 at its
+    target; ``edges`` may repeat and need not form a ``GraphSpec``."""
+    ends = np.asarray(edges, dtype=int).reshape(-1, 2)
+    cols = np.arange(len(ends))
+    b = np.zeros((n, len(ends)))
+    b[ends[:, 0] - 1, cols] = 1.0
+    b[ends[:, 1] - 1, cols] = -1.0
+    return b
 
 
 def graph_laplacian(g):
-    """Degree matrix minus adjacency; PSD with the all-ones null direction."""
-    lap = np.zeros((g.n, g.n))
-    for h, i in g.edges:
-        lap[h - 1, h - 1] += 1.0
-        lap[i - 1, i - 1] += 1.0
-        lap[h - 1, i - 1] -= 1.0
-        lap[i - 1, h - 1] -= 1.0
-    return lap
+    """Degree matrix minus adjacency, B B^T for the incidence matrix B; PSD
+    with the all-ones null direction."""
+    b = incidence(g.n, g.edges)
+    return b @ b.T
 
 
 def path_graph(n):

@@ -227,10 +227,10 @@ def optimize_routing(n, m, f, beta, budget=500):
     return RoutingResult(h_mat, k_mat, best_val, lower, steps, bool(converged))
 
 
-def sfb_plus_params(n, m, f, beta, theta=DEFAULT_THETA, budget=500):
+def sfb_plus_params(n, m, f, beta, theta=DEFAULT_THETA):
     """All three heuristics combined: complete-graph coupling, zero slack,
     norm-minimizing routing."""
-    routing = optimize_routing(n, m, f, beta, budget=budget)
+    routing = optimize_routing(n, m, f, beta)
     causal = CausalPair(routing.H, routing.K, np.asarray(f, dtype=int))
     m_mat = factor_laplacian(graph_laplacian(complete_graph(n)))
     return assemble(m_mat, None, causal, np.asarray(beta, dtype=float), theta)

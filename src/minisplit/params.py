@@ -161,9 +161,11 @@ def assemble(m_mat, p_mat, causal, beta, theta):
 def from_components(m_mat, s_mat, causal, beta, theta):
     """Build a bundle from an explicit step matrix S instead of a slack factor.
 
-    Used by presets whose special structure pins S in closed form, and to
-    construct bundles that intentionally violate the matrix inequality (the
-    slack factor is then recorded as None and validation reports the failure).
+    ``engine.run_lifted`` builds its bundle here, with S = L + W exactly as
+    given, so the lifted reference keeps its bits; tests use it to build
+    bundles that violate the matrix inequality (the slack factor is then
+    recorded as None and validation reports the failure). Every preset is
+    built by :func:`assemble`.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     n = m_mat.shape[0]

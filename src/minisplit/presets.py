@@ -1,7 +1,10 @@
 """Named special cases of the method family.
 
 Every constructor returns a :class:`MethodDescriptor` whose parameter bundle
-passes validation. The CLI's method identifiers are ``bench.METHOD_NAMES``.
+passes validation. Each bundle is built by ``assemble`` from its coupling
+factor and a closed-form slack factor, a scaled incidence matrix, so a
+serialized bundle loads back to the same bytes. The CLI's method
+identifiers are ``bench.METHOD_NAMES``.
 """
 
 from dataclasses import dataclass
@@ -9,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StepSizeViolationError
-from .graphs import graph_laplacian
-from .params import (DEFAULT_THETA, SplittingParams, factor_laplacian, forward_penalty,
-                     from_components)
+from .graphs import graph_laplacian, incidence
+from .params import DEFAULT_THETA, SplittingParams, assemble, factor_laplacian
+# unused here: perfbench/spans.py wraps presets.from_components when tracing
+from .params import from_components  # noqa: F401
 from .schedule import CausalPair
 
 
@@ -38,14 +42,9 @@ def _edge_routing(n, edges):
     """Routing pair of forwards on directed edges, listed by nondecreasing
     target: forward j runs on the output of resolvent source_j and feeds
     resolvent target_j only, so F[i] counts the targets <= i + 1."""
-    m = len(edges)
-    h_mat = np.zeros((n, m))
-    k_mat = np.zeros((m, n))
-    for j, (h, i) in enumerate(edges):
-        h_mat[i - 1, j] = 1.0
-        k_mat[j, h - 1] = 1.0
-    targets = np.array([i for _, i in edges], dtype=int)
-    return CausalPair(h_mat, k_mat, np.searchsorted(targets, np.arange(1, n + 1), side="right"))
+    b = incidence(n, edges)
+    h_mat = b < 0
+    return CausalPair(h_mat, b.T > 0, np.cumsum(h_mat.sum(axis=1)))
 
 
 def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=DEFAULT_THETA):
@@ -79,12 +78,12 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=DEFA
             f"violates (4 - beta*gamma)/2 >= theta_bar (bound = {bound:.6g})"
         )
 
-    lam = np.sqrt(theta_bar / gamma)
-    m_mat = lam * np.array([[1.0], [-1.0]])  # the only coupling with two resolvents
+    # S = (2 / gamma) e e^T: the coupling takes theta_bar / gamma of it, the
+    # forwards total / 2 and the slack the rest, which the bound keeps >= 0
+    e = incidence(2, [(1, 2)])
     m = beta.size
-    causal = _edge_routing(2, [(1, 2)] * m)
-    s_mat = (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    params = from_components(m_mat, s_mat, causal, beta, theta)
+    params = assemble(np.sqrt(theta_bar / gamma) * e, np.sqrt((bound - theta_bar) / gamma) * e,
+                      _edge_routing(2, [(1, 2)] * m), beta, theta)
     name = "DRS" if total == 0 and m == 0 else "DY"
     return MethodDescriptor(
         name=name,
@@ -96,17 +95,16 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=DEFA
 def graph_drs_params(g, g_prime, theta=DEFAULT_THETA):
     """Resolvent-only splitting devised by a pair of nested graphs.
 
-    The coupling factors the laplacian of ``g``; the step matrix equals the
-    laplacian of ``g_prime``, so the slack factors the laplacian of the
-    leftover edges.
+    The coupling factors the laplacian of ``g`` and the slack is the
+    incidence matrix of the edges of ``g_prime`` outside ``g``, so the step
+    matrix is the laplacian of ``g_prime``.
     """
     if set(g.edges) - set(g_prime.edges):
         raise ParameterError("every coupling edge must also be a step-matrix edge")
     if g.n != g_prime.n:
         raise ParameterError("graphs must share the node set")
-    m_mat = factor_laplacian(graph_laplacian(g))
-    s_mat = graph_laplacian(g_prime)
-    params = from_components(m_mat, s_mat, None, np.zeros(0), theta)
+    slack = incidence(g.n, [e for e in g_prime.edges if e not in g.edges])
+    params = assemble(factor_laplacian(graph_laplacian(g)), slack, None, np.zeros(0), theta)
     return MethodDescriptor(
         name="GraphDRS",
         params=params,
@@ -120,7 +118,9 @@ def gfb_params(g, g_f, beta, theta=DEFAULT_THETA):
     ``g`` fixes both the coupling and the step matrix S = (1 + beta/2) L(g);
     ``g_f`` (a subset of ``g``'s edges that gives each node 2..n exactly one
     in-edge) routes forward evaluations: the operator feeding node i is
-    evaluated at the output of its unique source. Heterogeneous ``beta``
+    evaluated at the output of its unique source. The forwards add
+    (beta/2) L(g_f) and the slack, sqrt(beta/2) times the incidence matrix
+    of the edges of ``g`` outside ``g_f``, the rest. Heterogeneous ``beta``
     vectors are collapsed to their maximum.
     """
     n = g.n
@@ -137,12 +137,9 @@ def gfb_params(g, g_f, beta, theta=DEFAULT_THETA):
     if [i for _, i in order] != list(range(2, n + 1)):
         raise ParameterError("the forward-evaluation graph must give each node 2..n "
                              "exactly one in-edge")
-    causal = _edge_routing(n, order)
-
-    lap = graph_laplacian(g)
-    m_mat = factor_laplacian(lap)
-    s_mat = (1.0 + beta_val / 2.0) * lap
-    params = from_components(m_mat, s_mat, causal, np.full(n - 1, beta_val), theta)
+    slack = np.sqrt(beta_val / 2.0) * incidence(n, [e for e in g.edges if e not in g_f.edges])
+    params = assemble(factor_laplacian(graph_laplacian(g)), slack, _edge_routing(n, order),
+                      np.full(n - 1, beta_val), theta)
     return MethodDescriptor(
         name="GFB",
         params=params,
@@ -171,11 +168,8 @@ def agfb_params(g, beta_edges, theta=DEFAULT_THETA):
     if unknown:
         raise ParameterError(f"betas given for non-edges: {sorted(unknown)}")
 
-    causal = _edge_routing(g.n, order)
-    lap = graph_laplacian(g)
-    m_mat = factor_laplacian(lap)
-    s_mat = lap + forward_penalty(causal, beta_vec)
-    params = from_components(m_mat, s_mat, causal, beta_vec, theta)
+    params = assemble(factor_laplacian(graph_laplacian(g)), None, _edge_routing(g.n, order),
+                      beta_vec, theta)
     return MethodDescriptor(
         name="aGFB",
         params=params,

@@ -86,7 +86,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
     (or ``beta_override``, e.g. a uniform worst-case vector for comparison
     runs; the declared constants must dominate the true ones). The blocks
     partition the rows, so the optimum is the same for every m >= 1; with
-    m = 0 the operators drop the data term that the objective still counts.
+    m = 0 the problem, and its objective, is the distance terms alone.
     """
     psi, y, xi = toy_data(cfg)
     # the configuration has checked the knees, so the oracles and the
@@ -121,6 +121,8 @@ def gen_toy_problem(cfg, *, beta_override=None):
         # the ufuncs np.linalg.norm(x - xi, axis=1) runs, without its wrapper
         diff = x - xi
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        if not cfg.m:
+            return float(dist.sum())
         return float(dist.sum() + _huber_value(d1, d2, width, offset, psi @ x - y).sum())
 
     return ProblemSpec(

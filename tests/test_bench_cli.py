@@ -189,7 +189,10 @@ class TestSharedReference:
         solved = _count_references(monkeypatch)
         cfg = ToyProblemConfig(n=4, d=5, p=8, m=2, seed=31, hetero=True)
         compare(methods, cfg, 3, tmp_path / "c", iters=20, reference_iters=50)
-        assert solved == [2, 2, 2]  # at the config's own m, whatever the methods need
+        # methods with forwards at the config's own m, whatever they need; graph-drs
+        # has none, so its problem is the distance terms alone, solved at m = 0
+        per_repeat = [0, 2] if "graph-drs" in methods else [2]
+        assert solved == per_repeat * 3
 
     def test_portfolio_solves_one_reference_per_chunk_count(self, monkeypatch, tmp_path):
         solved = _count_references(monkeypatch)
@@ -321,16 +324,8 @@ class TestCli:
         (tmp_path / "p.json").write_text(json.dumps(sidecar["params"]))
         assert cli.main([*argv, "--method", str(tmp_path / "p.json"),
                          "--out", str(tmp_path / "replay.csv")]) == 0
-        preset, replay = (tmp_path / "preset.csv").read_bytes(), (tmp_path / "replay.csv").read_bytes()
-        if name in ("sfb+", "sfb+randp"):
-            # built by assemble, so loading rebuilds the very same S
-            assert preset == replay
-        else:
-            # S pinned in closed form; loading re-derives it as M M^T + P P^T + W
-            objective = [np.loadtxt(tmp_path / f, delimiter=",", skiprows=1, usecols=3)
-                         for f in ("preset.csv", "replay.csv")]
-            assert objective[0].shape == objective[1].shape
-            np.testing.assert_allclose(objective[1], objective[0], rtol=1e-12, atol=0)
+        # every preset is built by assemble, so loading rebuilds the very same S
+        assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
 
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_run_iters_below_one_exits_1(self, iters, tmp_path, capsys):

@@ -272,7 +272,7 @@ class TestSfbPlus:
             m = int(rng.integers(0, 6))
             f = random_schedule(n, m, trial)
             beta = rng.uniform(0.0, 4.0, m)
-            params = sfb_plus_params(n, m, f, beta, budget=80)
+            params = sfb_plus_params(n, m, f, beta)
             assert validate_params(params).passed
 
     def test_slack_is_empty(self):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_affine_problem
 from minisplit.engine import run_lifted
@@ -9,12 +13,14 @@ from minisplit.graphs import (
     GraphSpec,
     complete_graph,
     graph_laplacian,
+    incidence,
     path_graph,
     ring_graph,
 )
-from minisplit.params import factor_laplacian, validate_params
+from minisplit.params import factor_laplacian, params_from_dict, params_to_dict, validate_params
 from minisplit.problems import ToyProblemConfig, gen_toy_problem
 from minisplit.presets import (
+    _edge_routing,
     agfb_edge_order,
     agfb_params,
     davis_yin_params,
@@ -39,6 +45,28 @@ class TestGraphs:
         assert factor_laplacian(graph_laplacian(path_graph(5))).shape == (5, 4)
         with pytest.raises(ParameterError, match="connected coupling"):
             factor_laplacian(graph_laplacian(GraphSpec(4, ((1, 2), (3, 4)))))
+
+    def test_incidence_gives_the_bits_of_the_edge_loops(self):
+        # the laplacian, degrees and routing pair built edge by edge are the
+        # reference; every entry is a small integer, so the bytes must agree
+        graphs = [mk(n) for mk in (complete_graph, path_graph, ring_graph) for n in range(2, 12)]
+        for g in [*graphs, GraphSpec(3, ((1, 3),))]:
+            lap, deg = np.zeros((g.n, g.n)), np.zeros(g.n, dtype=int)
+            for h, i in g.edges:
+                lap[[h - 1, i - 1], [h - 1, i - 1]] += 1.0
+                lap[[h - 1, i - 1], [i - 1, h - 1]] -= 1.0
+                deg[[h - 1, i - 1]] += 1
+            assert graph_laplacian(g).tobytes() == lap.tobytes()
+            assert g.degrees().tobytes() == deg.tobytes()
+        for n, edges in [(2, [(1, 2)] * k) for k in range(5)] + [
+                (g.n, list(agfb_edge_order(g))) for g in graphs if g.n <= 8]:
+            h_mat, k_mat = np.zeros((n, len(edges))), np.zeros((len(edges), n))
+            for j, (h, i) in enumerate(edges):
+                h_mat[i - 1, j] = k_mat[j, h - 1] = 1.0
+            f = np.searchsorted([i for _, i in edges], np.arange(1, n + 1), side="right")
+            pair = _edge_routing(n, edges)
+            assert pair.H.tobytes() == h_mat.tobytes() and pair.K.tobytes() == k_mat.tobytes()
+            assert pair.F.tobytes() == f.tobytes()
 
     def test_laplacian_annihilates_consensus(self):
         for g in (path_graph(4), ring_graph(5), complete_graph(6)):
@@ -317,3 +345,58 @@ class TestAllPresetsValidate:
         for desc in descs:
             report = validate_params(desc.params)
             assert report.passed, (desc.name, n, report.to_dict())
+
+
+def _assert_replays_exactly(params):
+    again = params_from_dict(json.loads(json.dumps(params_to_dict(params))))
+    for name in ("S", "gamma", "M", "P", "beta"):
+        assert getattr(again, name).tobytes() == getattr(params, name).tobytes(), name
+    for name in ("H", "K"):
+        assert getattr(again.causal, name).tobytes() == getattr(params.causal, name).tobytes(), name
+    assert again.theta == params.theta
+
+
+def _assert_close_to(s_mat, closed):
+    assert np.max(np.abs(s_mat - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
+class TestSerializedPresetsReplay:
+    """Every preset is built from its serialized fields, so loading them back
+    gives the same bytes, and S is still the preset's closed form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(preset=st.sampled_from(["gfb", "graph-drs", "agfb"]), n=st.integers(2, 8),
+           graph=st.sampled_from([complete_graph, ring_graph, path_graph]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_graph_presets(self, preset, n, graph, seed):
+        g = graph(n)
+        rng = np.random.default_rng(seed)
+        if preset == "gfb":
+            beta = float(rng.uniform(0.0, 4.0))
+            params = gfb_params(g, path_graph(n), beta).params
+            closed = (1.0 + beta / 2.0) * graph_laplacian(g)
+        elif preset == "graph-drs":
+            params = graph_drs_params(g, complete_graph(n)).params
+            closed = graph_laplacian(complete_graph(n))
+        else:
+            order = agfb_edge_order(g)
+            beta = rng.uniform(0.0, 4.0, len(order))
+            params = agfb_params(g, dict(zip(order, beta))).params
+            b = incidence(n, order)
+            closed = (b * (1.0 + beta / 2.0)) @ b.T  # every edge weighs 1 + beta_e / 2
+        _assert_replays_exactly(params)
+        _assert_close_to(params.S, closed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(gamma=st.floats(0.05, 10.0), share=st.floats(0.0, 0.99),
+           weights=st.lists(st.floats(0.0, 1.0), max_size=3), active=st.booleans(),
+           fraction=st.floats(0.01, 1.0))
+    def test_davis_yin(self, gamma, share, weights, active, fraction):
+        # beta * gamma stays below 4 * share, so the bound is positive
+        beta = np.array(weights) * (4.0 * share / gamma / max(1, len(weights)))
+        bound = (4.0 - float(np.sum(beta)) * gamma) / 2.0
+        params = davis_yin_params(gamma, bound if active else fraction * bound, beta=beta).params
+        if active:
+            assert not np.any(params.P)  # the bound leaves no slack
+        _assert_replays_exactly(params)
+        _assert_close_to(params.S, (2.0 / gamma) * np.array([[1.0, -1.0], [-1.0, 1.0]]))

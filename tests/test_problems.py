@@ -131,6 +131,15 @@ class TestToyProblem:
         direct = sum(np.linalg.norm(x - xi[i]) for i in range(3)) + vals.sum()
         assert abs(prob.objective(x) - direct) < 1e-12
 
+    def test_objective_without_forwards_is_the_distance_sum(self):
+        # with m = 0 the operators drop the data term, and so does the objective
+        cfg = ToyProblemConfig(n=3, d=4, p=5, m=0, seed=7)
+        _, _, xi = toy_data(cfg)
+        prob = gen_toy_problem(cfg)
+        for x in [*xi, *np.random.default_rng(3).standard_normal((5, 4))]:
+            want = float(np.sum(np.linalg.norm(x - xi, axis=1)))
+            assert np.float64(prob.objective(x)).tobytes() == np.float64(want).tobytes()
+
     def test_oversplit_rejected(self):
         with pytest.raises(ParameterError):
             ToyProblemConfig(p=4, m=5)
