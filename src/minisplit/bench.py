@@ -9,6 +9,7 @@ is requested explicitly.
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -224,11 +225,14 @@ def compare(
     distance to the reference solution for the portfolio, whose constraints
     the evaluator cannot see. Writes per-run CSV/JSON artifacts plus a
     machine-readable ``summary.json``; returns the summary dict. An unknown
-    or repeated method name raises :class:`ParameterError` before any work.
+    or repeated method name, a count below 1, or a threshold that is negative
+    or not finite raises :class:`ParameterError` before any work.
     """
     if not methods:
         raise ParameterError("need at least one method")
     _require_positive(repeats=repeats, iters=iters, reference_iters=reference_iters)
+    if not 0.0 <= threshold < math.inf:
+        raise ParameterError(f"threshold must be finite and nonnegative, got {threshold}")
     is_toy = isinstance(problem_config, ToyProblemConfig)
     n_nodes = problem_config.n if is_toy else 5
     needs = {name: required_forward_count(name, n_nodes) for name in methods}

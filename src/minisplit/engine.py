@@ -49,7 +49,8 @@ def extract_solution(x):
 
 def _shape_checked(oracle, d):
     """``oracle.evaluate`` that raises :class:`ParameterError`, naming the
-    oracle, unless its output has shape (d,)."""
+    oracle, unless its output is a real array of shape (d,): storing a
+    complex output in the float sweep would drop its imaginary part."""
     evaluate = oracle.evaluate
 
     def call(*args):
@@ -59,18 +60,33 @@ def _shape_checked(oracle, d):
                 f"oracle {oracle.descriptor!r} returned an output of shape "
                 f"{np.shape(out)}; expected ({d},)"
             )
+        dtype = np.asarray(out).dtype
+        if dtype.kind not in "biuf":
+            raise ParameterError(
+                f"oracle {oracle.descriptor!r} returned an output of dtype {dtype}; "
+                "expected real numbers"
+            )
         return out
 
     return call
+
+
+def _unit_column(row):
+    """Index of the one nonzero entry of ``row`` when it is exactly 1.0, else None."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[0]) if nonzero.size == 1 and row[nonzero[0]] == 1.0 else None
 
 
 def _sweep_plan(problem, params, check_dim=None):
     """Per-run constants of :func:`_sweep`.
 
     Returns ``(rows, m)``. Row i holds the forwards due before resolvent i
-    as ``(j, evaluate, K[j, :i])``, the views ``S[i, :i]`` and ``H[i, :F_i]``
-    (None when empty), F_i, gamma_i as a float and the resolvent's
-    ``evaluate``. With ``check_dim`` every oracle output is checked to have
+    as ``(j, evaluate, K[j, :i], src)``, the views ``S[i, :i]`` and
+    ``H[i, :F_i]`` (None when empty), ``hsrc``, F_i, gamma_i as a float and
+    the resolvent's ``evaluate``. ``src`` is the column of a unit row
+    ``K[j, :i]``, one entry 1.0 and zeros elsewhere, as an edge routing
+    has; ``hsrc`` likewise for ``H[i, :F_i]``; both are None for any other
+    row. With ``check_dim`` every oracle output is checked to be real with
     shape ``(check_dim,)``. Oracles are taken from ``problem`` as they are,
     so wrappers around them see every call.
     """
@@ -82,9 +98,12 @@ def _sweep_plan(problem, params, check_dim=None):
 
     rows, j = [], 0
     for i, f_i in enumerate(causal.F.tolist()):
-        due = tuple((jj, evaluate(problem.forwards[jj]), k_mat[jj, :i]) for jj in range(j, f_i))
+        due = tuple((jj, evaluate(problem.forwards[jj]), k_mat[jj, :i], _unit_column(k_mat[jj, :i]))
+                    for jj in range(j, f_i))
         j = max(j, f_i)
-        rows.append((due, s_mat[i, :i] if i else None, h_mat[i, :f_i] if f_i else None, f_i,
+        h_row = h_mat[i, :f_i] if f_i else None
+        rows.append((due, s_mat[i, :i] if i else None, h_row,
+                     None if h_row is None else _unit_column(h_row), f_i,
                      float(params.gamma[i]), evaluate(problem.resolvents[i])))
     m = k_mat.shape[0]
     assert j == m, "schedule failed to consume every forward operator"
@@ -95,6 +114,12 @@ def _sweep(plan, drive):
     """One triangular sweep along a :func:`_sweep_plan`. ``drive`` is the
     (n, d) external input per row.
 
+    A unit routing row skips its matvec: the forward gets a fresh copy of
+    ``x[src]``, so one that writes into its argument leaves x intact, and
+    ``H[i, :F_i] @ u`` becomes ``u[hsrc]``. While the other blocks are
+    finite, both equal the matvec bit for bit up to the sign of an exact
+    zero.
+
     Returns (x, u, v) where v_i is the input of resolvent i divided by
     gamma_i, so a_i = v_i - x_i / gamma_i is an element of the i-th monotone
     operator at x_i.
@@ -104,16 +129,18 @@ def _sweep(plan, drive):
     x = np.empty((n, d))
     u = np.empty((m, d))
     inputs = np.empty((n, d))
-    for i, (due, s_row, h_row, f_i, g_i, resolve) in enumerate(rows):
+    for i, (due, s_row, h_row, hsrc, f_i, g_i, resolve) in enumerate(rows):
         head = x[:i]
-        for j, forward, k_row in due:
-            u[j] = forward(k_row @ head)
+        for j, forward, k_row, src in due:
+            u[j] = forward(k_row @ head if src is None else x[src].copy())
         v = inputs[i]
         if s_row is None:
             v[:] = drive[i]
         else:
             np.subtract(drive[i], s_row @ head, out=v)
-        if h_row is not None:
+        if hsrc is not None:
+            v -= u[hsrc]
+        elif h_row is not None:
             v -= h_row @ u[:f_i]
         x[i] = resolve(g_i, g_i * v)
     return x, u, inputs
@@ -293,10 +320,12 @@ class _Monitor:
     def observe(self, res, sweep, image, accepted):
         fp_res, variances, objectives, elapsed = self.lists
         x = sweep[0]
+        mean = extract_solution(x)
         fp_res.append(res)
-        variances.append(consensus_variance(x))
-        objectives.append(float("nan") if self.objective is None
-                          else float(self.objective(extract_solution(x))))
+        # the objective gets the mean last, so one that writes into its
+        # argument cannot change the variance
+        variances.append(consensus_variance(x, mean=mean))
+        objectives.append(float("nan") if self.objective is None else float(self.objective(mean)))
         elapsed.append((time.perf_counter() - self.t0) * 1e3)
         if not accepted:
             return None
@@ -324,6 +353,8 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
                       rel_stop, record_objective, trace, accelerate):
     if max_iters < 1:
         raise ParameterError(f"max_iters must be at least 1, got {max_iters}")
+    if not (stop >= 0.0 and rel_stop >= 0.0):
+        raise ParameterError(f"stop and rel_stop must be nonnegative, got {stop} and {rel_stop}")
     validation = _checked_bundle(params, problem)
     theta = params.theta
     anderson = _Anderson() if accelerate else None
@@ -380,8 +411,9 @@ def run(
     Stops at ``max_iters``, when the residual falls below the absolute ``stop``
     threshold, or below ``rel_stop`` times the first residual. Raises
     :class:`DivergenceError` if the residual grows by a factor 1e6, and
-    :class:`ParameterError` when the bundle fails validation or
-    ``max_iters`` is below 1: every run makes at least one sweep.
+    :class:`ParameterError` when the bundle fails validation,
+    ``max_iters`` is below 1 (every run makes at least one sweep), or
+    ``stop`` or ``rel_stop`` is negative or NaN; either may be ``inf``.
 
     ``accelerate=True`` applies safeguarded Anderson acceleration to the
     state (see :class:`_Anderson`): each iteration is still one sweep that

@@ -35,17 +35,18 @@ def spectral_norm(a):
     return sigma
 
 
-def consensus_variance(x):
+def consensus_variance(x, mean=None):
     """Mean squared deviation of the blocks of ``x`` from their average.
 
     ``x`` is an (n, d) array of n points; returns (1/n) sum_i ||x_i - mean||^2.
-    Zero exactly when all blocks agree.
+    Zero exactly when all blocks agree. A caller that already holds the
+    block average ``x.sum(axis=0) / n`` may pass it as ``mean``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         x = np.atleast_2d(x)
     n = x.shape[0]
-    diff = x - x.sum(axis=0) / n
+    diff = x - (x.sum(axis=0) / n if mean is None else mean)
     return float((diff * diff).sum() / n)
 
 

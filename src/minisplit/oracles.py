@@ -19,7 +19,8 @@ class ResolventOracle:
     """Backward step: ``evaluate(step, v)`` computes (Id + step*A)^{-1} v.
 
     For a maximal monotone A the map is firmly nonexpansive for every
-    positive step.
+    positive step. The engine passes each call a fresh array ``v``, which
+    the oracle may overwrite or return.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -32,6 +33,8 @@ class ForwardOracle:
 
     ``beta`` is the cocoercivity parameter (the operator is 1/beta-cocoercive,
     hence beta-Lipschitz). beta = 0 is allowed only for constant operators.
+    The engine passes each call a fresh array, which the oracle may
+    overwrite or return.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

@@ -5,7 +5,9 @@ criterion. The trend criteria (7, 8) and the Monte Carlo contraction check
 (3) are the slow ones; the whole module takes a few minutes.
 """
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -222,26 +224,32 @@ def _first_hit(params, problem, budget, f_ref, x_ref, threshold, chunk=250):
     return None
 
 
+def _criterion_8_instance(seed):
+    """Whether the per-block run of one criterion-8 instance reaches the
+    threshold within budget and the uniform run does not reach it by then."""
+    cfg = ToyProblemConfig(seed=seed, hetero=True)
+    problem = gen_toy_problem(cfg)
+    uniform = gen_toy_problem(
+        cfg, beta_override=np.full(cfg.m, float(np.max(problem.beta)))
+    )
+    f_ref, x_ref = reference_solution(problem, iters=25_000, design_seed=seed)
+    d_per = method_for_problem("sfb+", problem, design_seed=seed)
+    d_uni = method_for_problem("sfb+", uniform, design_seed=seed)
+    k_per = _first_hit(d_per.params, problem, 8000, f_ref, x_ref, 1e-5)
+    if k_per is None:
+        return False
+    # capped at k_per, as in criterion 7
+    k_uni = iterations_to_threshold(
+        metric_series(execute(d_uni, uniform, k_per), "objective", f_ref, x_ref), 1e-5
+    )
+    return k_uni is None
+
+
 def test_criterion_8_per_block_constants_beat_uniform():
-    wins = 0
-    for s in range(20):
-        seed = 500 + s
-        cfg = ToyProblemConfig(seed=seed, hetero=True)
-        problem = gen_toy_problem(cfg)
-        uniform = gen_toy_problem(
-            cfg, beta_override=np.full(cfg.m, float(np.max(problem.beta)))
-        )
-        f_ref, x_ref = reference_solution(problem, iters=25_000, design_seed=seed)
-        d_per = method_for_problem("sfb+", problem, design_seed=seed)
-        d_uni = method_for_problem("sfb+", uniform, design_seed=seed)
-        k_per = _first_hit(d_per.params, problem, 8000, f_ref, x_ref, 1e-5)
-        if k_per is None:
-            continue
-        # capped at k_per, as in criterion 7
-        k_uni = iterations_to_threshold(
-            metric_series(execute(d_uni, uniform, k_per), "objective", f_ref, x_ref), 1e-5
-        )
-        wins += k_uni is None
+    # the 20 instances are independent and deterministic, so two worker
+    # processes, started fresh (spawn), give the serial loop's count
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        wins = sum(pool.map(_criterion_8_instance, range(500, 520)))
     _verdict(
         8, wins >= 16, f"per-block constants reach 1e-5 first in {wins}/20 scaled-row instances (>=16)"
     )

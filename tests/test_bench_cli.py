@@ -151,6 +151,15 @@ class TestCompare:
             compare(["sfb+"], ToyProblemConfig(n=3, d=4, p=6, m=2), out_dir=tmp_path / "c5", **counts)
         assert not (tmp_path / "c5").exists()
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1e-5, float("inf")])
+    def test_threshold_checked_before_any_work(self, threshold, tmp_path, monkeypatch):
+        solved = _count_references(monkeypatch)
+        with pytest.raises(ParameterError, match="threshold must be finite and nonnegative"):
+            compare(["sfb+"], ToyProblemConfig(n=3, d=4, p=6, m=2), 1, tmp_path / "c7",
+                    threshold=threshold, iters=10, reference_iters=10)
+        assert solved == []
+        assert not (tmp_path / "c7").exists()
+
     @pytest.mark.parametrize("methods, message", [
         (["gfb", "nosuch"], "unknown method 'nosuch'"),
         (["gfb", "sdy", "gfb"], "listed once"),
@@ -395,6 +404,24 @@ class TestCli:
         argv[argv.index(flag) + 1] = "0"
         assert cli.main(argv) == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1e-5", "inf"])
+    def test_bench_bad_threshold_exits_1(self, threshold, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = cli.main(["bench", "--suite", "toy-homo", "--methods", "sfb+", "--repeats", "1",
+                         "--out", str(out), "--iters", "10", "--reference-iters", "10",
+                         f"--threshold={threshold}"])
+        assert code == 1
+        assert "threshold must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stop", ["nan", "-1"])
+    def test_run_bad_stop_exits_1(self, stop, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "toy", "--method", "sfb+", f"--stop={stop}",
+                         "--out", str(tmp_path / "r.csv"), "--n", "3", "--d", "5", "--p", "6", "--m", "2"])
+        assert code == 1
+        assert "stop and rel_stop must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exit_code(self, monkeypatch, tmp_path):
         def boom(*args, **kwargs):

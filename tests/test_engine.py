@@ -14,9 +14,10 @@ from helpers import (
 from minisplit import bench, engine, linalg
 from minisplit.engine import extract_solution, run, run_lifted, split_step
 from minisplit.errors import DivergenceError, ParameterError
+from minisplit.graphs import complete_graph, path_graph
 from minisplit.oracles import ForwardOracle, ProblemSpec, ResolventOracle, counting_problem
 from minisplit.params import factor_laplacian, forward_penalty, from_components, validate_params
-from minisplit.presets import davis_yin_params
+from minisplit.presets import agfb_edge_order, agfb_params, davis_yin_params, gfb_params
 from minisplit.problems import ToyProblemConfig, gen_toy_problem
 from minisplit.schedule import CausalPair
 
@@ -66,18 +67,36 @@ def _assert_same_bits(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def _edge_routed_params(preset, n, seed):
+    """gfb (path-graph forwards) or agfb bundle on the complete graph, whose
+    routing rows are all or mostly unit vectors."""
+    beta = np.random.default_rng(seed).uniform(0.1, 4.0, n * (n - 1) // 2)
+    g = complete_graph(n)
+    if preset == "gfb":
+        return gfb_params(g, path_graph(n), beta[:n - 1]).params
+    return agfb_params(g, dict(zip(agfb_edge_order(g), beta))).params
+
+
 class TestSweep:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6), m=st.integers(0, 4),
-           d=st.integers(1, 4), lifted=st.booleans())
-    @example(seed=1, n=4, m=0, d=3, lifted=False)
-    @example(seed=2, n=4, m=0, d=3, lifted=True)
-    @example(seed=3, n=5, m=3, d=2, lifted=False)
-    @example(seed=4, n=5, m=3, d=2, lifted=True)
-    def test_matches_reference_sweep_bitwise(self, seed, n, m, d, lifted):
+           d=st.integers(1, 4), lifted=st.booleans(), preset=st.sampled_from([None, "gfb", "agfb"]))
+    @example(seed=1, n=4, m=0, d=3, lifted=False, preset=None)
+    @example(seed=2, n=4, m=0, d=3, lifted=True, preset=None)
+    @example(seed=3, n=5, m=3, d=2, lifted=False, preset=None)
+    @example(seed=4, n=5, m=3, d=2, lifted=True, preset=None)
+    @example(seed=5, n=5, m=0, d=3, lifted=False, preset="gfb")
+    @example(seed=6, n=4, m=0, d=2, lifted=True, preset="gfb")
+    @example(seed=7, n=5, m=0, d=3, lifted=False, preset="agfb")
+    @example(seed=8, n=4, m=0, d=2, lifted=True, preset="agfb")
+    def test_matches_reference_sweep_bitwise(self, seed, n, m, d, lifted, preset):
+        # a preset's routing fixes m itself; its rows take the unit-row path
         rng = np.random.default_rng(seed)
-        params = random_params(seed, n=n, m=m)
-        problem = random_affine_problem(rng, n, m, d, beta=params.beta)
+        if preset is None:
+            params = random_params(seed, n=n, m=m)
+        else:
+            params = _edge_routed_params(preset, n, seed)
+        problem = random_affine_problem(rng, n, params.m, d, beta=params.beta)
         if lifted:
             # the bundle and the zero-sum drive of run_lifted
             lap = params.M @ params.M.T
@@ -92,6 +111,46 @@ class TestSweep:
         # the expression the run loop forms its operator values with
         a = inputs - x / params.gamma[:, None]
         _assert_same_bits((x, u, inputs, a), _reference_sweep(problem, params, drive))
+
+    @pytest.mark.parametrize("preset", ["gfb", "agfb"])
+    def test_plan_marks_the_unit_rows_of_edge_routings(self, preset):
+        n = 5
+        params = _edge_routed_params(preset, n, 0)
+        rows, _ = engine._sweep_plan(_zero_problem(n, 2, params.m), params)
+        # every forward reads the output of its edge's source alone
+        sources = [src for due, *_ in rows for _, _, _, src in due]
+        edges = path_graph(n).edges if preset == "gfb" else agfb_edge_order(complete_graph(n))
+        assert sources == [h - 1 for h, _ in edges]
+        # a resolvent input subtracts a single forward output exactly when one
+        # edge enters its node: every row of gfb, only node 2 of agfb
+        hsrc = [row[3] for row in rows[1:]]
+        assert hsrc == (list(range(n - 1)) if preset == "gfb" else [0] + [None] * (n - 2))
+
+    def test_forward_that_writes_into_its_argument_leaves_x_intact(self):
+        rng = np.random.default_rng(21)
+        n, d = 4, 3
+        params = _edge_routed_params("gfb", n, 21)
+        base = random_affine_problem(rng, n, n - 1, d, beta=params.beta)
+
+        def with_forwards(wrap):
+            return dataclasses.replace(base, forwards=tuple(
+                ForwardOracle(wrap(f.evaluate), f.beta, f.descriptor) for f in base.forwards))
+
+        def scribble(evaluate):
+            def call(x):
+                out = evaluate(x)
+                x *= -7.0
+                return out
+            return call
+
+        def on_copy(evaluate):
+            scribbling = scribble(evaluate)
+            return lambda x: scribbling(x.copy())
+
+        z0 = rng.standard_normal((n - 1, d))
+        runs = [run(params, with_forwards(wrap), z0=z0, max_iters=20, rel_stop=0.0, trace=True)
+                for wrap in (scribble, on_copy)]
+        _assert_same_bits(runs[0].x_trace, runs[1].x_trace)
 
 
 class TestSplitStep:
@@ -233,6 +292,43 @@ class TestRun:
             prob = dataclasses.replace(prob, resolvents=prob.resolvents[:2] + (bad,))
         with pytest.raises(ParameterError, match=f"'{bad.descriptor}'.*shape"):
             run(params, prob, max_iters=5)
+
+    @pytest.mark.parametrize("entry", ["run", "split_step"])
+    @pytest.mark.parametrize("oracle", ["forward", "resolvent"])
+    def test_complex_oracle_output_named(self, oracle, entry):
+        # stored in the float sweep, a complex output would lose its imaginary part
+        rng = np.random.default_rng(12)
+        d = 4
+        params = random_params(12, n=3, m=2)
+        prob = random_affine_problem(rng, 3, 2, d, beta=params.beta)
+        if oracle == "forward":
+            good = prob.forwards[1].evaluate
+            bad = ForwardOracle(lambda x: good(x) * (1.0 + 0.5j), prob.forwards[1].beta,
+                                "complex-forward")
+            prob = dataclasses.replace(prob, forwards=(prob.forwards[0], bad))
+        else:
+            good = prob.resolvents[2].evaluate
+            bad = ResolventOracle(lambda s, v: good(s, v) * (1.0 + 0.5j), "complex-resolvent")
+            prob = dataclasses.replace(prob, resolvents=prob.resolvents[:2] + (bad,))
+        with pytest.raises(ParameterError, match=f"'{bad.descriptor}'.*dtype complex128"):
+            if entry == "run":
+                run(params, prob, max_iters=5)
+            else:
+                split_step(params, prob, rng.standard_normal((2, d)))
+
+    @pytest.mark.parametrize("stop, rel_stop", [(np.nan, 0.0), (-1e-9, 0.0), (0.0, np.nan),
+                                                (0.0, -1e-14)])
+    @pytest.mark.parametrize("entry", ["run", "run_lifted"])
+    def test_stopping_inputs_must_be_nonnegative(self, entry, stop, rel_stop):
+        prob, res_c, fwd_c = counting_problem(gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2)))
+        params = params_for_problem(prob, 11)
+        with pytest.raises(ParameterError, match="stop and rel_stop must be nonnegative"):
+            if entry == "run":
+                run(params, prob, stop=stop, rel_stop=rel_stop)
+            else:
+                run_lifted(params.M @ params.M.T, params.causal, params.beta, params.theta, prob,
+                           stop=stop, rel_stop=rel_stop)
+        assert [c.count for c in res_c + fwd_c] == [0] * 5
 
     @staticmethod
     def _assert_distinct(entries):
