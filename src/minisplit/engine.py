@@ -120,6 +120,13 @@ def _sweep(plan, drive):
     finite, both equal the matvec bit for bit up to the sign of an exact
     zero.
 
+    The products here and in the run loop (drive, update, residual) are
+    ``ndarray.dot``: the same BLAS kernel as ``@`` with less dispatch, and
+    the same bits, except where a product's inner dimension is 1 (row 1 of
+    every sweep, ``M z`` at n = 2, a forward block of one row) and its single
+    term is a negative or underflowed zero: ``@`` adds that term to a +0.0
+    accumulator, ``dot`` returns it as -0.0.
+
     Returns (x, u, v) where v_i is the input of resolvent i divided by
     gamma_i, so a_i = v_i - x_i / gamma_i is an element of the i-th monotone
     operator at x_i.
@@ -132,16 +139,16 @@ def _sweep(plan, drive):
     for i, (due, s_row, h_row, hsrc, f_i, g_i, resolve) in enumerate(rows):
         head = x[:i]
         for j, forward, k_row, src in due:
-            u[j] = forward(k_row @ head if src is None else x[src].copy())
+            u[j] = forward(k_row.dot(head) if src is None else x[src].copy())
         v = inputs[i]
         if s_row is None:
             v[:] = drive[i]
         else:
-            np.subtract(drive[i], s_row @ head, out=v)
+            np.subtract(drive[i], s_row.dot(head), out=v)
         if hsrc is not None:
             v -= u[hsrc]
         elif h_row is not None:
-            v -= h_row @ u[:f_i]
+            v -= h_row.dot(u[:f_i])
         x[i] = resolve(g_i, g_i * v)
     return x, u, inputs
 
@@ -154,8 +161,8 @@ def split_step(params, problem, z):
     not of shape (d,) raises :class:`ParameterError`.
     """
     z = np.asarray(z, dtype=float)
-    x, u, _ = _sweep(_sweep_plan(problem, params, check_dim=z.shape[1]), params.M @ z)
-    z_next = z - params.theta * (params.M.T @ x)
+    x, u, _ = _sweep(_sweep_plan(problem, params, check_dim=z.shape[1]), params.M.dot(z))
+    z_next = z - params.theta * params.M.T.dot(x)
     return z_next, x, u
 
 
@@ -372,7 +379,7 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
             plan = _sweep_plan(problem, params)
         new_state = advance(state, sweep[0])
         step = (new_state - state).ravel()
-        res = math.sqrt(step @ step) / theta
+        res = math.sqrt(step.dot(step)) / theta
         if anderson is None:
             state, accepted = new_state, True
         else:
@@ -432,8 +439,8 @@ def run(
         raise ParameterError("z0 must have shape (n-1, d)")
 
     m_mat, theta = params.M, params.theta
-    return _fixed_point_loop(problem, params, z0, lambda z: m_mat @ z,
-                             lambda z, x: z - theta * (m_mat.T @ x), max_iters, stop,
+    return _fixed_point_loop(problem, params, z0, lambda z: m_mat.dot(z),
+                             lambda z, x: z - theta * m_mat.T.dot(x), max_iters, stop,
                              rel_stop=rel_stop, record_objective=record_objective, trace=trace,
                              accelerate=accelerate)
 
@@ -488,6 +495,6 @@ def run_lifted(
     if drift > 1e-8 * max(1.0, float(np.max(np.abs(w0)))):
         raise ParameterError("lifted state must start with zero block sum")
     return _fixed_point_loop(problem, params, w0, lambda w: w,
-                             lambda w, x: w - theta * (laplacian @ x), max_iters, stop,
+                             lambda w, x: w - theta * laplacian.dot(x), max_iters, stop,
                              rel_stop=rel_stop, record_objective=record_objective, trace=trace,
                              accelerate=accelerate)

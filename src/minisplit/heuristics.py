@@ -17,7 +17,8 @@ s t - log det F by damped Newton steps (the Hessian entries
 tr(F^-1 B_a F^-1 B_b) come from one batched product and are scaled to a unit
 diagonal before the solve; the line search tests feasibility by Cholesky);
 the weight s then grows by ``_BARRIER_GROWTH`` until the central-path gap
-(m + n) / s falls below ``ROUTING_TOL / 10`` of t. ``budget`` caps the total
+(m + n) / s falls below ``ROUTING_TOL / 10`` of t and, from there on, until
+the certified gap below is within ``ROUTING_TOL``. ``budget`` caps the total
 number of Newton steps.
 
 The certificate is weak duality: for every W orthogonal to the feasible
@@ -120,11 +121,21 @@ def _log_det_barrier(f_mat):
     return -2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _barrier_routing(x0, sigma0, moves, budget):
+def _barrier_routing(x0, sigma0, moves, budget, certify):
     """Barrier path for min t s.t. [[t I, X], [X^T, t I]] >= 0 with
     X = X0 + sum_a y_a moves[a], started at y = 0, t = 2 ||X0||_2 = 2 sigma0.
 
-    Returns (y, F^-1 at the last iterate, Newton steps taken).
+    Wherever the path would stop (the budget is spent, or the central-path
+    gap is below ``ROUTING_TOL / 10`` of t), ``certify(y, F^-1, steps)``
+    returns a :class:`RoutingResult` for the iterate after ``steps`` Newton
+    steps. The path ends with it when it has converged, the budget is spent
+    or no Newton step was taken since the last call (F^-1, and so the
+    certificate, would be the same); otherwise further stages run, since
+    the certificate can lag the central-path gap. A numerically singular
+    Newton system ends a stage, except in those further stages, where the
+    least-squares Newton step is taken.
+
+    Returns the last such result.
     """
     m, n = x0.shape
     size, p = m + n, moves.shape[0]
@@ -144,7 +155,7 @@ def _barrier_routing(x0, sigma0, moves, budget):
     v[0] = 2.0 * sigma0
     weight = size / sigma0
     barrier = _log_det_barrier(f_at(v))
-    steps = 0
+    steps, certified_at = 0, None
     while True:
         while steps < budget:
             prod = np.linalg.inv(f_at(v)) @ stack
@@ -154,10 +165,15 @@ def _barrier_routing(x0, sigma0, moves, budget):
             # Jacobi scaling: near the optimum the t entry outgrows the moves
             # that leave the top singular pair alone by the inverse squared gap
             scale = 1.0 / np.sqrt(np.diag(hess))
+            scaled = hess * scale[:, None] * scale[None, :]
             try:
-                step = -scale * np.linalg.solve(hess * scale[:, None] * scale[None, :], grad * scale)
+                step = -scale * np.linalg.solve(scaled, grad * scale)
             except np.linalg.LinAlgError:
-                break  # numerically singular Newton system: as centered as it gets
+                if certified_at is None:
+                    break  # numerically singular Newton system: as centered as it gets
+                # past a failed certificate only a step can close the gap: the
+                # least-squares one
+                step = -scale * np.linalg.lstsq(scaled, grad * scale)[0]
             decrement = -float(grad @ step)
             if decrement <= 2.0 * _CENTERING_TOL:
                 break
@@ -175,9 +191,11 @@ def _barrier_routing(x0, sigma0, moves, budget):
                 break  # no descent left at rounding level: as centered as it gets
             v, barrier = trial, trial_barrier
         if steps >= budget or size / weight <= 0.1 * ROUTING_TOL * v[0]:
-            break
+            result = certify(v[1:], np.linalg.inv(f_at(v)), steps)
+            if result.converged or steps >= budget or steps == certified_at:
+                return result
+            certified_at = steps
         weight *= _BARRIER_GROWTH
-    return v[1:], np.linalg.inv(f_at(v)), steps
 
 
 def optimize_routing(n, m, f, beta, budget=500):
@@ -215,16 +233,17 @@ def optimize_routing(n, m, f, beta, budget=500):
     groups = _move_groups(k_mask, h_mask)
     moves = _routing_directions(groups[np.repeat(beta > 0.0, 2)])
 
-    y, f_inv, steps = _barrier_routing(x0, best_val, moves, budget)
-    lower = _certified_bound(f_inv, groups, x0)
-    shift = np.tensordot(y, moves, 1) / np.where(root_beta > 0.0, root_beta, 1.0)[:, None]
-    h_new = np.where(h_mask, h_mat - shift.T, 0.0)
-    k_new = np.where(k_mask, k_mat + shift, 0.0)
-    new_val = top_singular_triple(root_beta[:, None] * (k_new - h_new.T))[0]
-    if new_val < best_val:
-        h_mat, k_mat, best_val = h_new, k_new, new_val
-    converged = best_val - lower <= ROUTING_TOL * best_val
-    return RoutingResult(h_mat, k_mat, best_val, lower, steps, bool(converged))
+    def certify(y, f_inv, steps):
+        # the better of the start and the barrier pair, and its certified gap
+        lower = _certified_bound(f_inv, groups, x0)
+        shift = np.tensordot(y, moves, 1) / np.where(root_beta > 0.0, root_beta, 1.0)[:, None]
+        h_new = np.where(h_mask, h_mat - shift.T, 0.0)
+        k_new = np.where(k_mask, k_mat + shift, 0.0)
+        new_val = top_singular_triple(root_beta[:, None] * (k_new - h_new.T))[0]
+        h, k, val = (h_new, k_new, new_val) if new_val < best_val else (h_mat, k_mat, best_val)
+        return RoutingResult(h, k, val, lower, steps, bool(val - lower <= ROUTING_TOL * val))
+
+    return _barrier_routing(x0, best_val, moves, budget, certify)
 
 
 def sfb_plus_params(n, m, f, beta, theta=DEFAULT_THETA):

@@ -87,7 +87,11 @@ def gen_toy_problem(cfg, *, beta_override=None):
     runs; the declared constants must dominate the true ones). The blocks
     partition the rows, so the optimum is the same for every m >= 1; with
     m = 0 the problem, and its objective, is the distance terms alone.
+    A ``beta_override`` whose shape is not (m,) raises :class:`ParameterError`.
     """
+    if beta_override is not None and np.shape(beta_override) != (cfg.m,):
+        raise ParameterError(f"beta_override of shape {np.shape(beta_override)} does not match "
+                             f"the m={cfg.m} forward blocks")
     psi, y, xi = toy_data(cfg)
     # the configuration has checked the knees, so the oracles and the
     # objective call the unchecked kernels
@@ -110,7 +114,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
             y_blk = y[idx]
 
             def grad(x, psi_blk=psi_blk, psi_blk_t=psi_blk.T, y_blk=y_blk):
-                return psi_blk_t @ _huber_grad(d1, width, psi_blk @ x - y_blk)
+                return psi_blk_t.dot(_huber_grad(d1, width, psi_blk.dot(x) - y_blk))
 
             beta = float(spectral_norm(psi_blk @ psi_blk.T)) * _BETA_MARGIN
             if beta_override is not None:
@@ -123,7 +127,7 @@ def gen_toy_problem(cfg, *, beta_override=None):
         dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
         if not cfg.m:
             return float(dist.sum())
-        return float(dist.sum() + _huber_value(d1, d2, width, offset, psi @ x - y).sum())
+        return float(dist.sum() + _huber_value(d1, d2, width, offset, psi.dot(x) - y).sum())
 
     return ProblemSpec(
         resolvents=resolvents,
@@ -246,14 +250,14 @@ def gen_portfolio_problem(cfg):
             )
         sigmas.append(sig)
 
-    # (2 sig) @ x scales every product and partial sum of sig @ x by a power
-    # of two, so short of subnormal products it has the bits of
-    # 2.0 * (sig @ x), with one ufunc fewer
+    # (2 sig) x scales every product and partial sum of sig x by a power of
+    # two, so short of subnormal products it has the bits of 2.0 * sig x,
+    # with one ufunc fewer
     r_hat_share = r_hat / m
     forwards = []
     for i, sig in enumerate(sigmas):
         def grad(x, sig2=2.0 * sig):
-            return sig2 @ x - r_hat_share
+            return sig2.dot(x) - r_hat_share
 
         beta = 2.0 * float(spectral_norm(sig)) * _BETA_MARGIN
         forwards.append(ForwardOracle(grad, beta, descriptor=f"risk-chunk-{i + 1}"))
@@ -283,7 +287,7 @@ def gen_portfolio_problem(cfg):
     sigma_total = np.sum(sigmas, axis=0)
 
     def objective(x):
-        return float(x @ (sigma_total @ x) - r_hat @ x + w_to * np.abs(x - x0).sum())
+        return float(sigma_total.dot(x).dot(x) - r_hat.dot(x) + w_to * np.abs(x - x0).sum())
 
     return ProblemSpec(
         resolvents=tuple(resolvents),

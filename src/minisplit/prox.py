@@ -25,7 +25,7 @@ def prox_norm_offset(xi, tau, v):
 def _prox_norm_offset(xi, tau, v):
     """:func:`prox_norm_offset` for float arrays and ``tau > 0``, unchecked."""
     diff = v - xi
-    dist = math.sqrt(diff @ diff)
+    dist = math.sqrt(diff.dot(diff))
     if dist <= tau:
         return xi.copy()
     return v - (tau / dist) * diff
@@ -87,7 +87,7 @@ def project_halfspace(c, b, v):
 def _project_halfspace(c, nrm2, b, v):
     """:func:`project_halfspace` for float arrays, unchecked; ``nrm2`` is
     ``c @ c`` as a nonzero float."""
-    slack = float(c @ v) - b
+    slack = float(c.dot(v)) - b
     if slack <= 0.0:
         return v.copy()
     return v - (slack / nrm2) * c

@@ -153,6 +153,64 @@ class TestSweep:
         _assert_same_bits(runs[0].x_trace, runs[1].x_trace)
 
 
+def _reference_loop(problem, params, state, to_drive, advance, iters):
+    """A plain run written out with ``@`` around :func:`_reference_sweep`:
+    the specification ``run`` and ``run_lifted`` must reproduce bit for bit,
+    up to ``iters`` sweeps or a zero residual (their ``stop`` of 0).
+    Returns the x-trajectory, the records and the last x."""
+    xs, res, variances, objectives = [], [], [], []
+    for _ in range(iters):
+        x = _reference_sweep(problem, params, to_drive(state))[0]
+        new_state = advance(state, x)
+        step = (new_state - state).ravel()
+        res.append(np.sqrt(step @ step) / params.theta)
+        mean = extract_solution(x)
+        variances.append(linalg.consensus_variance(x, mean=mean))
+        objectives.append(problem.objective(mean))
+        xs.append(x)
+        state = new_state
+        if res[-1] == 0.0:
+            break
+    return xs, np.array(res), np.array(variances), np.array(objectives), x
+
+
+class TestLoop:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 8), m=st.integers(0, 4),
+           d=st.integers(1, 4), lifted=st.booleans())
+    @example(seed=1, n=2, m=2, d=1, lifted=False)
+    @example(seed=2, n=8, m=4, d=4, lifted=True)
+    @example(seed=209, n=2, m=0, d=1, lifted=False)  # reaches an exact fixed point
+    def test_run_matches_reference_loop_bitwise(self, seed, n, m, d, lifted):
+        # the sweep alone is TestSweep's; this covers the drive, the update,
+        # the residual and the records around it
+        rng = np.random.default_rng(seed)
+        params = random_params(seed, n=n, m=m)
+        problem = dataclasses.replace(random_affine_problem(rng, n, m, d, beta=params.beta),
+                                      objective=lambda x: float(x @ x))
+        theta, iters = params.theta, 30
+        if lifted:
+            lap = params.M @ params.M.T
+            w0 = rng.standard_normal((n, d))
+            w0 -= w0.mean(axis=0)
+            report = run_lifted(lap, params.causal, params.beta, theta, problem, w0=w0,
+                                max_iters=iters, rel_stop=0.0, trace=True)
+            params = from_components(factor_laplacian(lap),
+                                     lap + forward_penalty(params.causal, params.beta),
+                                     params.causal, params.beta, theta)
+            want = _reference_loop(problem, params, w0, lambda w: w,
+                                   lambda w, x: w - theta * (lap @ x), iters)
+        else:
+            m_mat = params.M
+            z0 = rng.standard_normal((n - 1, d))
+            report = run(params, problem, z0=z0, max_iters=iters, rel_stop=0.0, trace=True)
+            want = _reference_loop(problem, params, z0, lambda z: m_mat @ z,
+                                   lambda z, x: z - theta * (m_mat.T @ x), iters)
+        _assert_same_bits(report.x_trace, want[0])
+        _assert_same_bits((report.fp_residual, report.variance, report.objective, report.final_x),
+                          want[1:])
+
+
 class TestSplitStep:
     def test_zero_problem_fixed_point_at_origin(self):
         params = random_params(0, n=3, m=0)

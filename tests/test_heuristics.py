@@ -33,6 +33,16 @@ SINGULAR_NEWTON_DRAWS = [
 ]
 
 
+#: (seed, n, m) draws of the routing property whose central-path gap meets
+#: its stop rule while the certified gap is still above ROUTING_TOL (2.0e-9
+#: after 48 steps and 1.0e-9 after 37); in the second, the next stage meets a
+#: singular Newton system at once.
+CERTIFICATE_LAG_DRAWS = [
+    (1607623512, 8, 6),
+    (1157368855, 6, 6),
+]
+
+
 def property_instance(seed, n, m):
     """The routing property's instance: schedule and beta uniform on [0.1, 3]
     drawn from ``seed``."""
@@ -200,6 +210,8 @@ class TestRoutingCertificate:
     @example(*SINGULAR_NEWTON_DRAWS[2])
     @example(*SINGULAR_NEWTON_DRAWS[3])
     @example(*SINGULAR_NEWTON_DRAWS[4])
+    @example(*CERTIFICATE_LAG_DRAWS[0])
+    @example(*CERTIFICATE_LAG_DRAWS[1])
     def test_every_feasible_pair_is_above_the_bound(self, seed, n, m):
         f, beta = property_instance(seed, n, m)
         res = optimize_routing(n, m, f, beta)
@@ -217,6 +229,15 @@ class TestRoutingCertificate:
         res = optimize_routing(n, m, f, beta)
         assert res.converged
         assert res.objective - res.lower_bound <= ROUTING_TOL * res.objective
+        assert validate_params(sfb_plus_params(n, m, f, beta)).passed
+
+    @pytest.mark.parametrize("seed, n, m", CERTIFICATE_LAG_DRAWS)
+    def test_stages_go_on_until_the_certificate_closes(self, seed, n, m):
+        f, beta = property_instance(seed, n, m)
+        res = optimize_routing(n, m, f, beta)
+        assert res.converged
+        assert res.objective - res.lower_bound <= ROUTING_TOL * res.objective
+        assert res.iterations_used <= 100
         assert validate_params(sfb_plus_params(n, m, f, beta)).passed
 
     def test_bound_holds_when_the_budget_runs_out(self):

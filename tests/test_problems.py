@@ -144,6 +144,18 @@ class TestToyProblem:
         with pytest.raises(ParameterError):
             ToyProblemConfig(p=4, m=5)
 
+    @pytest.mark.parametrize("override", [np.ones(4), np.ones(9), 1.0],
+                             ids=["too-short", "too-long", "scalar"])
+    def test_beta_override_of_the_wrong_shape_rejected(self, override):
+        # the short vector raised an IndexError, the scalar a TypeError and
+        # the long one was cut to its first m entries
+        with pytest.raises(ParameterError, match="beta_override"):
+            gen_toy_problem(ToyProblemConfig(m=5), beta_override=override)
+
+    def test_beta_override_sets_each_constant(self):
+        prob = gen_toy_problem(ToyProblemConfig(m=5), beta_override=[1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(prob.beta, [1.0, 2.0, 3.0, 4.0, 5.0])
+
     def test_bad_knees_rejected(self):
         with pytest.raises(ParameterError):
             ToyProblemConfig(delta1=2.0, delta2=1.0)
@@ -213,6 +225,13 @@ class TestToyOraclesMatchPublicFunctions:
             want = float(np.sum(np.linalg.norm(x - xi, axis=1))
                          + np.sum(huber_value(self.D1, self.D2, psi @ x - y)))
             assert np.float64(problem.objective(x)).tobytes() == np.float64(want).tobytes()
+
+    def test_objective_and_forwards_take_lists(self, toy):
+        *_, problem, points = toy
+        for x in points:
+            assert problem.objective(list(x)) == problem.objective(x)
+            for oracle in problem.forwards:
+                assert oracle.evaluate(list(x)).tobytes() == oracle.evaluate(x).tobytes()
 
 
 class TestPortfolioProblem:
@@ -440,3 +459,10 @@ class TestPortfolioOraclesMatchPublicFunctions:
         for x in points:
             want = float(x @ (sigma_total @ x) - r_hat @ x + w * np.sum(np.abs(x - x0)))
             assert np.float64(problem.objective(x)).tobytes() == np.float64(want).tobytes()
+
+    def test_objective_and_forwards_take_lists(self, portfolio):
+        _, problem, points = portfolio
+        for x in points:
+            assert problem.objective(list(x)) == problem.objective(x)
+            for oracle in problem.forwards:
+                self._same(oracle.evaluate(list(x)), oracle.evaluate(x))
