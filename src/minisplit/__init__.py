@@ -30,7 +30,6 @@ from .params import (
     ValidationReport,
     assemble,
     factor_laplacian,
-    factor_slack,
     from_components,
     load_params,
     params_from_dict,
@@ -63,7 +62,6 @@ from .prox import (
 )
 from .schedule import (
     CausalPair,
-    infer_schedule,
     is_causal_pair,
     is_valid_schedule,
     random_causal_pair,

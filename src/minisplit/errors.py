@@ -10,7 +10,7 @@ class NotCausalError(ParameterError):
 
 
 class NotRepresentableError(ParameterError):
-    """A required positive-semidefinite factorization does not exist."""
+    """A bundle lacks a matrix that its serialized form needs."""
 
 
 class StepSizeViolationError(ParameterError):

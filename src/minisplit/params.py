@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRepresentableError, ParameterError
-from .linalg import psd_factor
 from .schedule import CausalPair, is_causal_pair
 
 _RANK_RTOL = 1e-10
@@ -52,15 +51,14 @@ def forward_penalty(causal, beta):
 class SplittingParams:
     """One point of the method family; S is stored, W and gamma are derived.
 
-    ``P`` is None when the bundle was rebuilt from explicit (M, S, H, K)
-    components whose slack residual is indefinite; such bundles exist only to
-    be failed by ``validate_params`` and cannot be serialized. Every bundle
-    has a positive diagonal of S, theta in (0, 1) and a step matrix that
-    satisfies the trace identity; construction raises otherwise.
+    ``assemble`` stores P and derives S; ``from_components`` stores the S it
+    was given and sets ``P = None``, so its bundle cannot be serialized.
+    Every bundle has a positive diagonal of S, theta in (0, 1) and a step
+    matrix that satisfies the trace identity; construction raises otherwise.
     """
 
     M: np.ndarray
-    P: np.ndarray  # may be (n, 0); None when no PSD slack factor exists
+    P: np.ndarray  # may be (n, 0); None for a bundle built from an explicit S
     causal: CausalPair
     beta: np.ndarray
     theta: float
@@ -110,8 +108,20 @@ class SplittingParams:
         return -np.tril(self.S, -1) + 0.0
 
 
-def _check_centering(mat, n, what):
+def _check_finite(mat, what):
     mat = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ParameterError(f"{what} must be finite")
+    return mat
+
+
+def _check_resolvents(n):
+    if n < 2:
+        raise ParameterError(f"a bundle needs at least two resolvents, got n={n}")
+
+
+def _check_centering(mat, n, what):
+    mat = _check_finite(mat, what)
     if mat.ndim != 2 or mat.shape[0] != n:
         raise ParameterError(f"{what} must have {n} rows")
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
@@ -130,29 +140,30 @@ def _as_causal(causal, n, beta):
         raise ParameterError("routing pair does not match the number of resolvents")
     if causal.m != beta.size:
         raise ParameterError("beta length must equal the number of forward operators")
-    if np.any(beta < 0):
-        raise ParameterError("cocoercivity parameters must be nonnegative")
+    if not np.all(np.isfinite(beta) & (beta >= 0)):
+        raise ParameterError("cocoercivity parameters beta must be finite and nonnegative")
     return causal, beta
 
 
 def assemble(m_mat, p_mat, causal, beta, theta):
     """Build a parameter bundle from its defining matrices.
 
-    Requires M^T 1 = 0 with full column rank, P^T 1 = 0, a causal routing pair
-    matching ``beta``, and theta in (0, 1). The derived S and gamma satisfy
-    the structural conditions by construction.
+    Requires finite inputs, n >= 2, M^T 1 = 0 with full column rank,
+    P^T 1 = 0, a causal routing pair matching ``beta``, and theta in (0, 1).
+    The derived S and gamma satisfy the structural conditions by construction.
     """
     m_mat = _check_centering(m_mat, np.asarray(m_mat).shape[0], "coupling factor M")
     n = m_mat.shape[0]
+    _check_resolvents(n)
     if m_mat.shape[1] != n - 1:
         raise ParameterError("coupling factor M must have n-1 columns")
     sv = np.linalg.svd(m_mat, compute_uv=False)
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise ParameterError("coupling factor M must have full column rank n-1")
+    causal, beta = _as_causal(causal, n, beta)
     if p_mat is None:
         p_mat = np.zeros((n, 0))
     p_mat = _check_centering(p_mat, n, "slack factor P")
-    causal, beta = _as_causal(causal, n, beta)
 
     s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + forward_penalty(causal, beta)
     return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat)
@@ -161,47 +172,19 @@ def assemble(m_mat, p_mat, causal, beta, theta):
 def from_components(m_mat, s_mat, causal, beta, theta):
     """Build a bundle from an explicit step matrix S instead of a slack factor.
 
-    ``engine.run_lifted`` builds its bundle here, with S = L + W exactly as
-    given, so the lifted reference keeps its bits; tests use it to build
-    bundles that violate the matrix inequality (the slack factor is then
-    recorded as None and validation reports the failure). Every preset is
-    built by :func:`assemble`.
+    The bundle stores S, symmetrized, and ``P = None``, so it cannot be
+    serialized. ``engine.run_lifted`` builds its bundle here from S = L + W,
+    so the lifted reference keeps its bits; tests use it for bundles that
+    fail the matrix inequality. Every preset is built by :func:`assemble`.
     """
-    m_mat = np.asarray(m_mat, dtype=float)
+    m_mat = _check_finite(m_mat, "coupling factor M")
     n = m_mat.shape[0]
-    s_mat = np.asarray(s_mat, dtype=float)
+    _check_resolvents(n)
+    s_mat = _check_finite(s_mat, "step matrix S")
     if s_mat.shape != (n, n):
         raise ParameterError("step matrix S must be n x n")
-    s_mat = (s_mat + s_mat.T) / 2.0
     causal, beta = _as_causal(causal, n, beta)
-    w_mat = forward_penalty(causal, beta)
-    try:
-        p_mat = psd_factor(
-            s_mat - m_mat @ m_mat.T - w_mat,
-            ref=float(np.max(np.abs(s_mat))),
-            label="slack residual",
-        )
-    except NotRepresentableError:
-        p_mat = None
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat)
-
-
-def factor_slack(s_target, m_mat, w_mat):
-    """Slack factor P with P P^T = S_target - M M^T - W and P^T 1 = 0.
-
-    The residual must be symmetric with zero row sums; an indefinite residual
-    raises :class:`NotRepresentableError`.
-    """
-    s_target = np.asarray(s_target, dtype=float)
-    m_mat = np.asarray(m_mat, dtype=float)
-    w_mat = np.asarray(w_mat, dtype=float)
-    resid = s_target - m_mat @ m_mat.T - w_mat
-    scale = max(1.0, float(np.max(np.abs(resid))) if resid.size else 0.0)
-    if np.max(np.abs(resid - resid.T)) > 1e-9 * scale:
-        raise ParameterError("slack residual must be symmetric")
-    if np.max(np.abs(resid.sum(axis=1))) > 1e-8 * scale:
-        raise ParameterError("slack residual must have zero row sums")
-    return psd_factor(resid, ref=float(np.max(np.abs(s_target))), label="slack residual")
+    return SplittingParams(m_mat, None, causal, beta, float(theta), (s_mat + s_mat.T) / 2.0)
 
 
 def factor_laplacian(lap):
@@ -352,9 +335,7 @@ def validate_params(params):
 def params_to_dict(params):
     """JSON-ready dict: n, m, F, M, P, H, K (row-major), theta, beta."""
     if params.P is None:
-        raise NotRepresentableError(
-            "bundle has no PSD slack factor and cannot be serialized"
-        )
+        raise NotRepresentableError("bundle built from an explicit step matrix S has no P to save")
     causal = params.causal
     return {
         "n": params.n,
@@ -400,6 +381,7 @@ def params_from_dict(doc):
         if not _is_integer(doc[key]):
             raise ParameterError(f"params field {key} must be an integer, got {doc[key]!r}")
     n, m = doc["n"], doc["m"]
+    _check_resolvents(n)
     if isinstance(doc["F"], list) and not all(_is_integer(f) for f in doc["F"]):
         raise ParameterError(f"params field F must hold integers, got {doc['F']!r}")
 

@@ -57,12 +57,12 @@ def davis_yin_params(gamma, theta_bar, beta_total=None, *, beta=None, theta=DEFA
     assumed (none at all when it is zero, which recovers the two-operator
     reflection scheme).
     """
-    if gamma <= 0 or theta_bar <= 0:
+    if not (gamma > 0 and theta_bar > 0):
         raise ParameterError("gamma and theta_bar must be positive")
     if beta is None:
         if beta_total is None:
             raise ParameterError("give beta_total or a beta vector")
-        beta = np.array([float(beta_total)]) if beta_total > 0 else np.zeros(0)
+        beta = np.array([float(beta_total)]) if beta_total != 0 else np.zeros(0)
     else:
         beta = np.asarray(beta, dtype=float)
         if beta_total is not None and abs(float(np.sum(beta)) - beta_total) > 1e-12 * max(
@@ -129,8 +129,8 @@ def gfb_params(g, g_f, beta, theta=DEFAULT_THETA):
     if set(g_f.edges) - set(g.edges):
         raise ParameterError("forward-evaluation edges must be coupling edges")
     beta_arr = np.atleast_1d(np.asarray(beta, dtype=float))
-    if np.any(beta_arr < 0):
-        raise ParameterError("beta must be nonnegative")
+    if not np.all(np.isfinite(beta_arr) & (beta_arr >= 0)):
+        raise ParameterError("beta must be finite and nonnegative")
     beta_val = float(np.max(beta_arr)) if beta_arr.size else 0.0
 
     order = agfb_edge_order(g_f)
@@ -162,7 +162,7 @@ def agfb_params(g, beta_edges, theta=DEFAULT_THETA):
     """
     order = agfb_edge_order(g)
     beta_vec = np.array([float(beta_edges.get(e, 0.0)) for e in order])
-    if np.any(beta_vec < 0):
+    if not np.all(beta_vec >= 0):
         raise ParameterError("edge betas must be nonnegative")
     unknown = set(beta_edges) - set(order)
     if unknown:

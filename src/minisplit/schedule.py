@@ -36,7 +36,6 @@ def random_schedule(n, m, seed):
 def support_masks(f, m):
     """Boolean allowed-support masks for H (n x m) and K (m x n)."""
     f = np.asarray(f, dtype=int)
-    n = f.size
     cols = np.arange(m)
     h_mask = cols[None, :] < f[:, None]          # H[i, j] allowed iff j < f[i]
     k_mask = (cols[:, None] >= f[None, :])        # K[j, h] allowed iff j >= f[h]
@@ -63,44 +62,6 @@ def is_causal_pair(h_mat, k_mat, f):
         return False
     h_mask, k_mask = support_masks(f, m)
     return bool(np.all(h_mat[~h_mask] == 0.0) and np.all(k_mat[~k_mask] == 0.0))
-
-
-def infer_schedule(h_mat, k_mat):
-    """Minimal schedule consistent with the supports of (H, K).
-
-    Lower bounds come from H (row i needs f[i] >= last nonzero column + 1),
-    upper bounds from K (column h needs f[h] <= first nonzero row), both made
-    monotone before feasibility is checked. Raises :class:`NotCausalError`
-    when the bounds cross or force f[0] > 0 or f[-1] < m.
-    """
-    h_mat = np.asarray(h_mat, dtype=float)
-    k_mat = np.asarray(k_mat, dtype=float)
-    n, m = h_mat.shape
-    if k_mat.shape != (m, n):
-        raise ParameterError("K must be the transpose shape of H")
-    if m == 0:
-        return np.zeros(n, dtype=int)
-
-    lower = np.zeros(n, dtype=int)
-    upper = np.full(n, m, dtype=int)
-    for i in range(n):
-        nz = np.nonzero(h_mat[i])[0]
-        if nz.size:
-            lower[i] = nz[-1] + 1
-        nz = np.nonzero(k_mat[:, i])[0]
-        if nz.size:
-            upper[i] = nz[0]
-    lower = np.maximum.accumulate(lower)
-    upper = np.minimum.accumulate(upper[::-1])[::-1]
-
-    lower[-1] = max(lower[-1], m)
-    if lower[0] > 0:
-        raise NotCausalError("H forces a forward evaluation before the first resolvent")
-    if upper[-1] < m:
-        raise NotCausalError("K forces a forward evaluation after the last resolvent")
-    if np.any(lower > upper):
-        raise NotCausalError("support bounds from H and K are incompatible")
-    return lower
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,17 @@ class TestCli:
         assert cli.main(["validate", "--params", str(bad)]) == 1
         assert f"field {key} must hold" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_validate_rejects_fewer_than_two_resolvents(self, n, tmp_path, capsys):
+        doc = {"n": n, "m": 0, "F": [0] * n, "M": [], "P": [], "H": [], "K": [],
+               "theta": 0.9, "beta": []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--params", str(bad)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"passed": False,
+                       "error": f"a bundle needs at least two resolvents, got n={n}"}
+
     def test_validate_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["validate", "--params", str(tmp_path / "absent.json")]) == 2
 

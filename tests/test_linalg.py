@@ -1,11 +1,9 @@
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 
-from minisplit.errors import NotRepresentableError
-from minisplit.linalg import consensus_variance, psd_factor, spectral_norm, top_singular_triple
+from minisplit.linalg import consensus_variance, spectral_norm, top_singular_triple
 
 entries = st.floats(-1e3, 1e3, allow_subnormal=False)
 shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
@@ -91,24 +89,3 @@ class TestConsensusVariance:
         xbar = x.mean(axis=0)
         direct = np.mean([np.linalg.norm(xi - xbar) ** 2 for xi in x])
         assert abs(consensus_variance(x) - direct) < 1e-12
-
-
-class TestPsdFactor:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        g = rng.standard_normal((6, 3))
-        a = g @ g.T
-        b = psd_factor(a)
-        np.testing.assert_allclose(b @ b.T, a, atol=1e-10)
-        assert b.shape[1] == 3
-
-    def test_zero(self):
-        assert psd_factor(np.zeros((4, 4))).shape == (4, 0)
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotRepresentableError):
-            psd_factor(np.diag([1.0, -1.0]))
-
-    def test_reference_scale_tolerates_noise(self):
-        noise = 1e-14 * np.array([[1.0, -1.0], [-1.0, -1.0]])
-        assert psd_factor(noise, ref=10.0).shape[1] == 0

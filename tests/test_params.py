@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import random_params
 from minisplit.errors import NotRepresentableError, ParameterError
-from minisplit.graphs import complete_graph, graph_laplacian, path_graph
+from minisplit.graphs import complete_graph, graph_laplacian
 from minisplit.params import (
     assemble,
     factor_laplacian,
-    factor_slack,
     from_components,
     params_from_dict,
     params_to_dict,
     random_coupling,
-    random_slack,
     validate_params,
 )
 from minisplit.schedule import CausalPair
@@ -119,6 +117,21 @@ class TestAssemble:
         with pytest.raises(ParameterError):
             assemble(m_mat, None, None, np.zeros(0), 1.0)
 
+    @pytest.mark.parametrize("field, m_scale, p_mat, beta", [
+        ("coupling factor M", np.nan, None, [1.0]),
+        ("slack factor P", 1.0, np.array([[np.nan], [np.nan]]), [1.0]),
+        ("beta", 1.0, None, [np.nan]),
+        ("beta", 1.0, None, [np.inf]),
+    ])
+    def test_non_finite_input_is_named(self, field, m_scale, p_mat, beta):
+        m_mat = m_scale * np.array([[1.0], [-1.0]])
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            assemble(m_mat, p_mat, _dy_pair(), np.array(beta), 0.9)
+
+    def test_single_resolvent_rejected(self):
+        with pytest.raises(ParameterError, match="at least two resolvents, got n=1"):
+            assemble(np.zeros((1, 0)), None, None, np.zeros(0), 0.9)
+
     def test_degenerate_step_matrix_rejected(self):
         m_mat = factor_laplacian(graph_laplacian(complete_graph(3)))
         s_bad = np.diag([0.0, 1.0, 1.0])
@@ -126,44 +139,22 @@ class TestAssemble:
             from_components(m_mat, s_bad, None, np.zeros(0), 0.9)
 
 
-class TestFactorSlack:
-    def test_zero_residual_gives_empty_factor(self):
-        params = random_params(0, n=5, m=3)
-        p = factor_slack(params.S, params.M, params.W)
-        assert p.shape[1] == 0
+class TestFromComponents:
+    def test_stores_the_step_matrix_it_was_given(self):
+        m_mat = factor_laplacian(graph_laplacian(complete_graph(3)))
+        s_mat = 2.0 * graph_laplacian(complete_graph(3))
+        params = from_components(m_mat, s_mat, None, np.zeros(0), 0.9)
+        assert params.P is None
+        np.testing.assert_array_equal(params.S, s_mat)
 
-    def test_graph_construction_residual(self):
-        # step matrix (1 + beta/2) * laplacian with forward penalty
-        # (beta/2) * forward-graph laplacian leaves the slack
-        # (beta/2) * (laplacian difference) plus any leftover edges
-        beta = 1.6
-        g = complete_graph(4)
-        lap = graph_laplacian(g)
-        lap_f = graph_laplacian(path_graph(4))
-        m_mat = factor_laplacian(lap)
-        s_target = (1 + beta / 2) * lap
-        w_mat = (beta / 2) * lap_f
-        p = factor_slack(s_target, m_mat, w_mat)
-        np.testing.assert_allclose(
-            p @ p.T, (beta / 2) * (lap - lap_f), atol=1e-10
-        )
+    def test_non_finite_step_matrix_is_named(self):
+        s_mat = np.full((2, 2), np.nan)
+        with pytest.raises(ParameterError, match="step matrix S must be finite"):
+            from_components(np.array([[1.0], [-1.0]]), s_mat, None, np.zeros(0), 0.9)
 
-    def test_reassembly_reproduces_target(self):
-        rng = np.random.default_rng(5)
-        for seed in range(10):
-            base = random_params(seed, n=4, m=2)
-            bump = random_slack(4, rng.uniform(0.1, 1.0), seed=seed)
-            s_target = base.S + bump @ bump.T
-            p = factor_slack(s_target, base.M, base.W)
-            rebuilt = assemble(base.M, p, base.causal, base.beta, base.theta)
-            scale = max(1.0, np.max(np.abs(s_target)))
-            assert np.max(np.abs(rebuilt.S - s_target)) <= 1e-9 * scale
-
-    def test_indefinite_residual_rejected(self):
-        params = random_params(1, n=3, m=0)
-        s_target = params.S - 0.5 * graph_laplacian(complete_graph(3))
-        with pytest.raises(NotRepresentableError):
-            factor_slack(s_target, params.M, params.W)
+    def test_single_resolvent_rejected(self):
+        with pytest.raises(ParameterError, match="at least two resolvents, got n=1"):
+            from_components(np.zeros((1, 0)), np.ones((1, 1)), None, np.zeros(0), 0.9)
 
 
 class TestValidation:

@@ -87,6 +87,17 @@ class TestDavisYin:
         with pytest.raises(StepSizeViolationError):
             davis_yin_params(4.0, 1e-6, 1.0)  # gamma = 4/beta leaves no room
 
+    @pytest.mark.parametrize("gamma, theta_bar", [(np.nan, 0.9), (1.0, np.nan)])
+    def test_nan_step_rejected(self, gamma, theta_bar):
+        with pytest.raises(ParameterError, match="gamma and theta_bar must be positive"):
+            davis_yin_params(gamma, theta_bar, 1.0)
+
+    @pytest.mark.parametrize("beta_total", [np.nan, -1.0])
+    def test_bad_beta_total_rejected(self, beta_total):
+        # neither may silently drop the forward term
+        with pytest.raises(ParameterError, match="beta must be finite and nonnegative"):
+            davis_yin_params(1.0, 0.9, beta_total)
+
     def test_no_forward_reduces_to_reflection_scheme(self):
         desc = davis_yin_params(1.0, 1.0, 0.0)
         assert desc.name == "DRS"
@@ -229,6 +240,11 @@ class TestGfb:
             assert a.tobytes() == b.tobytes()
         assert rfb.theta == gfb.theta
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ParameterError, match="beta must be finite and nonnegative"):
+            gfb_params(complete_graph(3), path_graph(3), beta)
+
     def test_heterogeneous_constants_collapse_to_max(self):
         desc = gfb_params(complete_graph(3), path_graph(3), np.array([0.3, 2.0]))
         np.testing.assert_array_equal(desc.params.beta, [2.0, 2.0])
@@ -320,6 +336,10 @@ class TestAgfb:
         g = GraphSpec(4, ((1, 2), (3, 4)))
         with pytest.raises(ParameterError):
             agfb_params(g, {})
+
+    def test_nan_edge_beta_rejected(self):
+        with pytest.raises(ParameterError, match="edge betas must be nonnegative"):
+            agfb_params(complete_graph(3), {(1, 2): np.nan})
 
     def test_unknown_edge_beta_rejected(self):
         with pytest.raises(ParameterError):

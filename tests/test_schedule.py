@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minisplit.errors import NotCausalError, ParameterError
 from minisplit.schedule import (
     CausalPair,
-    infer_schedule,
     is_causal_pair,
     is_valid_schedule,
     random_causal_pair,
@@ -81,50 +78,6 @@ class TestCausalPairs:
             diag = np.diag(rng.uniform(0.0, 3.0, m))
             prod = pair.H @ diag @ pair.K
             assert np.all(np.triu(prod) == 0.0)
-
-
-class TestInferSchedule:
-    def test_demo_supports(self):
-        h, k = _demo_pair()
-        np.testing.assert_array_equal(infer_schedule(h, k), _F_DEMO)
-
-    def test_zero_matrices_minimal_completion(self):
-        f = infer_schedule(np.zeros((4, 3)), np.zeros((3, 4)))
-        np.testing.assert_array_equal(f, [0, 0, 0, 3])
-
-    def test_first_row_of_h_forces_failure(self):
-        h = np.zeros((3, 2))
-        h[0, 0] = 1.0
-        with pytest.raises(NotCausalError):
-            infer_schedule(h, np.zeros((2, 3)))
-
-    def test_crossing_bounds_fail(self):
-        # H wants forward 1 before resolvent 2, K wants it after
-        h = np.zeros((3, 1))
-        h[1, 0] = 1.0
-        k = np.zeros((1, 3))
-        k[0, 1] = 1.0
-        with pytest.raises(NotCausalError):
-            infer_schedule(h, k)
-
-    def test_inferred_is_componentwise_minimal(self):
-        for trial in range(50):
-            n = 3 + trial % 5
-            m = 1 + trial % 5
-            f = random_schedule(n, m, 7000 + trial)
-            pair = random_causal_pair(n, m, f, seed=trial)
-            f_min = infer_schedule(pair.H, pair.K)
-            assert np.all(f_min <= f)
-            assert is_causal_pair(pair.H, pair.K, f_min)
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 8), m=st.integers(0, 6), seed=st.integers(0, 2**31 - 1))
-    def test_recovers_the_schedule_of_a_random_pair(self, n, m, seed):
-        # random pairs fill their whole support, so the minimal schedule
-        # consistent with it is the one they were drawn for
-        f = random_schedule(n, m, seed)
-        pair = random_causal_pair(n, m, f, seed=seed)
-        np.testing.assert_array_equal(infer_schedule(pair.H, pair.K), f)
 
 
 class TestRandomCausalPair:
