@@ -15,11 +15,14 @@ zero-sum vectors of each group (an orthonormal Helmert basis), except in
 rows with beta = 0, where no move changes X. Each stage centers
 s t - log det F by damped Newton steps (the Hessian entries
 tr(F^-1 B_a F^-1 B_b) come from one batched product and are scaled to a unit
-diagonal before the solve; the line search tests feasibility by Cholesky);
-the weight s then grows by ``_BARRIER_GROWTH`` until the central-path gap
-(m + n) / s falls below ``ROUTING_TOL / 10`` of t and, from there on, until
-the certified gap below is within ``ROUTING_TOL``. ``budget`` caps the total
-number of Newton steps.
+diagonal before the solve; the line search tests feasibility by Cholesky).
+The Newton system, F^-1 included, is formed once per accepted iterate and
+reused by a later stage at the same iterate, where only the weight on t
+changes, and by the certificate below. The weight s then grows by
+``_BARRIER_GROWTH`` until the central-path gap (m + n) / s falls below
+``ROUTING_TOL / 10`` of t and, from there on, until the certified gap below
+is within ``ROUTING_TOL``. ``budget`` caps the total number of Newton
+steps.
 
 The certificate is weak duality: for every W orthogonal to the feasible
 moves of X, ||X||_2 >= |<W, X>| / ||W||_* and <W, X> is the same for every
@@ -114,11 +117,15 @@ def _certified_bound(f_inv, groups, x0):
 
 def _log_det_barrier(f_mat):
     """-log det f_mat, or None when f_mat is not positive definite."""
+    # f_mat[0, 0] is t, the first pivot: a nonpositive one fails the
+    # factorization, and a NaN one would give a NaN value
+    if not f_mat[0, 0] > 0.0:
+        return None
     try:
         chol = np.linalg.cholesky(f_mat)
     except np.linalg.LinAlgError:
         return None
-    return -2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _barrier_routing(x0, sigma0, moves, budget, certify):
@@ -134,6 +141,10 @@ def _barrier_routing(x0, sigma0, moves, budget, certify):
     the certificate can lag the central-path gap. A numerically singular
     Newton system ends a stage, except in those further stages, where the
     least-squares Newton step is taken.
+
+    The Newton system is formed once per accepted iterate: a new stage at
+    the same iterate changes only the weight on t, and ``certify`` reads
+    the same F^-1.
 
     Returns the last such result.
     """
@@ -151,21 +162,31 @@ def _barrier_routing(x0, sigma0, moves, budget, certify):
     def f_at(v):
         return f_base + (v @ flat).reshape(size, size)
 
+    def newton_system(f_mat):
+        """F^-1, the barrier gradient -tr(F^-1 B_a), the Jacobi scaling of
+        the Hessian tr(F^-1 B_a F^-1 B_b) and the scaled Hessian."""
+        f_inv = np.linalg.inv(f_mat)
+        prod = f_inv @ stack
+        hess = prod.reshape(p + 1, -1) @ prod.transpose(0, 2, 1).reshape(p + 1, -1).T
+        # Jacobi scaling: near the optimum the t entry outgrows the moves
+        # that leave the top singular pair alone by the inverse squared gap
+        scale = 1.0 / np.sqrt(hess.diagonal())
+        return f_inv, -prod.trace(axis1=1, axis2=2), scale, hess * scale[:, None] * scale[None, :]
+
     v = np.zeros(p + 1)
     v[0] = 2.0 * sigma0
     weight = size / sigma0
-    barrier = _log_det_barrier(f_at(v))
+    f_mat = f_at(v)
+    barrier = _log_det_barrier(f_mat)
+    system = None  # the Newton system at v, once formed
     steps, certified_at = 0, None
     while True:
         while steps < budget:
-            prod = np.linalg.inv(f_at(v)) @ stack
-            grad = -np.trace(prod, axis1=1, axis2=2)
+            if system is None:
+                system = newton_system(f_mat)
+            _, barrier_grad, scale, scaled = system
+            grad = barrier_grad.copy()
             grad[0] += weight
-            hess = prod.reshape(p + 1, -1) @ prod.transpose(0, 2, 1).reshape(p + 1, -1).T
-            # Jacobi scaling: near the optimum the t entry outgrows the moves
-            # that leave the top singular pair alone by the inverse squared gap
-            scale = 1.0 / np.sqrt(np.diag(hess))
-            scaled = hess * scale[:, None] * scale[None, :]
             try:
                 step = -scale * np.linalg.solve(scaled, grad * scale)
             except np.linalg.LinAlgError:
@@ -182,16 +203,18 @@ def _barrier_routing(x0, sigma0, moves, budget, certify):
             alpha = 1.0
             while alpha > 1e-12:
                 trial = v + alpha * step
-                trial_barrier = _log_det_barrier(f_at(trial))
+                trial_f = f_at(trial)
+                trial_barrier = _log_det_barrier(trial_f)
                 if (trial_barrier is not None
                         and weight * trial[0] + trial_barrier <= value - 0.25 * alpha * decrement):
                     break
                 alpha *= 0.5
             else:
                 break  # no descent left at rounding level: as centered as it gets
-            v, barrier = trial, trial_barrier
+            v, f_mat, barrier, system = trial, trial_f, trial_barrier, None
         if steps >= budget or size / weight <= 0.1 * ROUTING_TOL * v[0]:
-            result = certify(v[1:], np.linalg.inv(f_at(v)), steps)
+            f_inv = np.linalg.inv(f_mat) if system is None else system[0]
+            result = certify(v[1:], f_inv, steps)
             if result.converged or steps >= budget or steps == certified_at:
                 return result
             certified_at = steps

@@ -70,7 +70,7 @@ class SplittingParams:
         if self.P is not None:
             object.__setattr__(self, "P", _freeze(self.P))
         diag = np.diag(self.S)
-        if np.any(diag <= 1e-12):
+        if not np.all(diag > 1e-12):  # NaN fails too
             bad = int(np.argmin(diag)) + 1
             raise ParameterError(
                 f"degenerate step matrix: resolvent {bad} receives no coupling"
@@ -81,7 +81,7 @@ class SplittingParams:
         ones = np.ones(self.n)
         gamma = self.gamma
         resid = abs(ones @ (np.diag(1.0 / gamma) + np.tril(self.S, -1)) @ ones)
-        if resid > 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
+        if not resid <= 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
             raise ParameterError("step matrix is inconsistent with the trace identity")
 
     @property

@@ -19,7 +19,7 @@ from .errors import NotCausalError, ParameterError
 def is_valid_schedule(f, n, m):
     """True iff ``f`` is a valid length-n schedule for m forward operators."""
     f = np.asarray(f)
-    if f.shape != (n,):
+    if f.shape != (n,) or n == 0:
         return False
     if f[0] != 0 or f[-1] != m:
         return False

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from minisplit import heuristics
 from minisplit.errors import ParameterError
 from minisplit.graphs import complete_graph, graph_laplacian
 from minisplit.heuristics import ROUTING_TOL, optimize_routing, sfb_plus_params
@@ -41,6 +42,81 @@ CERTIFICATE_LAG_DRAWS = [
     (1607623512, 8, 6),
     (1157368855, 6, 6),
 ]
+
+
+def _reference_log_det_barrier(f_mat):
+    try:
+        chol = np.linalg.cholesky(f_mat)
+    except np.linalg.LinAlgError:
+        return None
+    return -2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def reference_barrier_routing(x0, sigma0, moves, budget, certify):
+    """The barrier path as first written, forming the Newton system anew at
+    every step and F^-1 anew for every certificate: the reference that
+    ``heuristics._barrier_routing`` must match byte for byte."""
+    m, n = x0.shape
+    size, p = m + n, moves.shape[0]
+    stack = np.zeros((p + 1, size, size))
+    stack[0] = np.eye(size)
+    stack[1:, :m, m:] = moves
+    stack[1:, m:, :m] = moves.transpose(0, 2, 1)
+    flat = stack.reshape(p + 1, -1)
+    f_base = np.zeros((size, size))
+    f_base[:m, m:] = x0
+    f_base[m:, :m] = x0.T
+
+    def f_at(v):
+        return f_base + (v @ flat).reshape(size, size)
+
+    v = np.zeros(p + 1)
+    v[0] = 2.0 * sigma0
+    weight = size / sigma0
+    barrier = _reference_log_det_barrier(f_at(v))
+    steps, certified_at = 0, None
+    while True:
+        while steps < budget:
+            prod = np.linalg.inv(f_at(v)) @ stack
+            grad = -np.trace(prod, axis1=1, axis2=2)
+            grad[0] += weight
+            hess = prod.reshape(p + 1, -1) @ prod.transpose(0, 2, 1).reshape(p + 1, -1).T
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            scaled = hess * scale[:, None] * scale[None, :]
+            try:
+                step = -scale * np.linalg.solve(scaled, grad * scale)
+            except np.linalg.LinAlgError:
+                if certified_at is None:
+                    break
+                step = -scale * np.linalg.lstsq(scaled, grad * scale)[0]
+            decrement = -float(grad @ step)
+            if decrement <= 2.0 * heuristics._CENTERING_TOL:
+                break
+            steps += 1
+            value = weight * v[0] + barrier
+            alpha = 1.0
+            while alpha > 1e-12:
+                trial = v + alpha * step
+                trial_barrier = _reference_log_det_barrier(f_at(trial))
+                if (trial_barrier is not None
+                        and weight * trial[0] + trial_barrier <= value - 0.25 * alpha * decrement):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            v, barrier = trial, trial_barrier
+        if steps >= budget or size / weight <= 0.1 * ROUTING_TOL * v[0]:
+            result = certify(v[1:], np.linalg.inv(f_at(v)), steps)
+            if result.converged or steps >= budget or steps == certified_at:
+                return result
+            certified_at = steps
+        weight *= heuristics._BARRIER_GROWTH
+
+
+def routing_bytes(res):
+    """Every field of a RoutingResult, as bytes."""
+    return (res.H.tobytes(), res.K.tobytes(), float(res.objective).hex(),
+            float(res.lower_bound).hex(), res.iterations_used, res.converged)
 
 
 def property_instance(seed, n, m):
@@ -271,6 +347,25 @@ class TestRoutingCertificate:
         res = optimize_routing(4, 2, [0, 1, 1, 2], np.zeros(2))
         assert res.objective == res.lower_bound == 0.0
         assert res.iterations_used == 0 and res.converged
+
+
+class TestBarrierReference:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 8), m=st.integers(1, 8),
+           zero_bits=st.integers(0, 255), budget=st.one_of(st.integers(1, 60), st.just(500)))
+    @example(*SINGULAR_NEWTON_DRAWS[0], 0, 500)
+    @example(*SINGULAR_NEWTON_DRAWS[3], 0, 500)
+    @example(*CERTIFICATE_LAG_DRAWS[0], 0, 500)
+    @example(*CERTIFICATE_LAG_DRAWS[1], 0, 500)
+    def test_matches_the_reference_loop_byte_for_byte(self, seed, n, m, zero_bits, budget):
+        # beta[j] is zero where bit j of zero_bits is set
+        f, beta = property_instance(seed, n, m)
+        beta[[(zero_bits >> j) & 1 == 1 for j in range(m)]] = 0.0
+        shipped = optimize_routing(n, m, f, beta, budget=budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heuristics, "_barrier_routing", reference_barrier_routing)
+            reference = optimize_routing(n, m, f, beta, budget=budget)
+        assert routing_bytes(shipped) == routing_bytes(reference)
 
 
 class TestSfbPlus:

@@ -9,6 +9,7 @@ from helpers import random_params
 from minisplit.errors import NotRepresentableError, ParameterError
 from minisplit.graphs import complete_graph, graph_laplacian
 from minisplit.params import (
+    SplittingParams,
     assemble,
     factor_laplacian,
     from_components,
@@ -137,6 +138,15 @@ class TestAssemble:
         s_bad = np.diag([0.0, 1.0, 1.0])
         with pytest.raises(ParameterError):
             from_components(m_mat, s_bad, None, np.zeros(0), 0.9)
+
+    @pytest.mark.parametrize("s_mat, message", [
+        (np.full((2, 2), np.nan), "degenerate step matrix"),
+        (np.array([[2.0, np.nan], [np.nan, 2.0]]), "inconsistent with the trace identity"),
+    ], ids=["all-nan", "nan-off-diagonal"])
+    def test_nan_step_matrix_rejected(self, s_mat, message):
+        # the constructor itself, past the builders' finiteness checks
+        with pytest.raises(ParameterError, match=message):
+            SplittingParams(np.array([[1.0], [-1.0]]), None, CausalPair.empty(2), np.zeros(0), 0.9, s_mat)
 
 
 class TestFromComponents:

@@ -41,6 +41,9 @@ class TestScheduleValidity:
     def test_must_end_at_m(self):
         assert not is_valid_schedule([0, 1, 2], 3, 5)
 
+    def test_empty_schedule_is_invalid(self):
+        assert not is_valid_schedule(np.zeros(0, dtype=int), 0, 0)
+
     def test_random_schedule_valid(self):
         for seed in range(30):
             n = 2 + seed % 6
@@ -114,3 +117,7 @@ class TestRandomCausalPair:
     def test_pair_type_validates(self):
         with pytest.raises(NotCausalError):
             CausalPair(np.ones((2, 1)), np.ones((1, 2)), np.array([0, 1]))
+
+    def test_pair_without_resolvents_rejected(self):
+        with pytest.raises(NotCausalError, match="invalid schedule"):
+            CausalPair.empty(0)

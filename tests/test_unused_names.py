@@ -2,15 +2,20 @@
 each name it imports, unless the import line carries ``# noqa: F401``, and
 reads each plain name a function assigns. A tuple target, a loop variable
 and a name that starts with an underscore are exempt, as in pyflakes.
+
+No undeclared dependency either: every module, ``__init__.py`` included,
+imports only from the package itself, the standard library and numpy.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "minisplit"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+ALLOWED_IMPORTS = {"minisplit", "numpy"} | set(sys.stdlib_module_names)
 
 
 def _loaded(tree):
@@ -67,6 +72,22 @@ def unused_locals(source):
     return unused
 
 
+def foreign_imports(source):
+    """Imported top-level packages outside ``ALLOWED_IMPORTS``; a relative
+    import is the package itself."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [f"line {node.lineno}: {name}" for name in names
+                    if name.split(".")[0] not in ALLOWED_IMPORTS]
+    return foreign
+
+
 def test_the_checks_catch_what_they_are_for():
     source = (
         "import os\n"
@@ -83,8 +104,23 @@ def test_the_checks_catch_what_they_are_for():
     assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
     assert unused_locals(source) == ["line 5: n in f"]
 
+    source = (
+        "import json, scipy.linalg\n"
+        "from numpy.linalg import norm\n"
+        "from . import engine\n"
+        "def f():\n"
+        "    from scipy import optimize\n"
+        "    import minisplit.params\n"
+    )
+    assert foreign_imports(source) == ["line 1: scipy.linalg", "line 5: scipy"]
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_names(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source) + unused_locals(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
