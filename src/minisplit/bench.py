@@ -114,14 +114,18 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     the serialized parameters, which replay the run byte for byte when
     loaded as the method: every preset is built by ``assemble``, as a loaded
     bundle is. CSV bytes are identical for identical (method, problem, seed)
-    unless ``timing`` is on.
+    unless ``timing`` is on. A bundle that cannot be serialized, or an
+    ``out_path`` that is its own sidecar path (a ``.json`` name), raises
+    :class:`ParameterError` before the run, and nothing is written.
     """
+    sidecar_path = os.path.splitext(str(out_path))[0] + ".json"
+    if sidecar_path == str(out_path):
+        raise ParameterError(f"out path {sidecar_path} would be overwritten by its own sidecar")
+    params_doc = params_to_dict(method.params)
     report = execute(method, problem, iters, stop=stop, trace=trace)
-    report.write_csv(out_path, timing=timing)
-
     final = report.final_record()
     final["wall_time_s"] = float(report.elapsed_ms[-1] / 1e3)
-    sidecar = {
+    sidecar = json.dumps({
         "config": config or {},
         "method": {"name": method.name, "notes": method.notes},
         "problem": problem.label,
@@ -129,11 +133,11 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
         "iters": iters,
         "final": final,
         "validation": report.validation.to_dict(),
-        "params": params_to_dict(method.params),
-    }
-    sidecar_path = os.path.splitext(str(out_path))[0] + ".json"
+        "params": params_doc,
+    }, indent=1)
+    report.write_csv(out_path, timing=timing)
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
+        fh.write(sidecar)
     return report
 
 
@@ -234,8 +238,7 @@ def compare(
     if not 0.0 <= threshold < math.inf:
         raise ParameterError(f"threshold must be finite and nonnegative, got {threshold}")
     is_toy = isinstance(problem_config, ToyProblemConfig)
-    n_nodes = problem_config.n if is_toy else 5
-    needs = {name: required_forward_count(name, n_nodes) for name in methods}
+    needs = {name: required_forward_count(name, problem_config.n) for name in methods}
     if len(needs) != len(methods):
         raise ParameterError(f"each method may be listed once, got {', '.join(methods)}")
     os.makedirs(out_dir, exist_ok=True)

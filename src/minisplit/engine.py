@@ -153,15 +153,36 @@ def _sweep(plan, drive):
     return x, u, inputs
 
 
-def split_step(params, problem, z):
-    """One evaluation of the splitting operator in minimal form.
+def _entry_state(params, problem, state, rows, name):
+    """The entry contract of :func:`split_step` for a state of ``rows``
+    blocks named ``name``; returns the state as floats, zeros when None."""
+    if params.n != problem.n or params.m != problem.m:
+        raise ParameterError(f"parameter counts (n={params.n}, m={params.m}) do not match "
+                             f"problem counts (n={problem.n}, m={problem.m})")
+    shape = (rows, problem.dimension)
+    if state is None:
+        return np.zeros(shape)
+    state = np.asarray(state)
+    if state.dtype.kind not in "biuf" or state.shape != shape or not np.isfinite(state).all():
+        raise ParameterError(f"{name} must be a finite real array of shape {shape}; "
+                             f"got {state.dtype} of shape {state.shape}")
+    return state.astype(float, copy=False)
 
-    ``z`` is the (n-1, d) state; returns (z_next, x, u). Each resolvent and
-    each forward oracle is invoked exactly once; an oracle output that is
-    not of shape (d,) raises :class:`ParameterError`.
+
+def split_step(params, problem, z):
+    """One evaluation of the splitting operator in minimal form: returns
+    (z_next, x, u) and calls each resolvent and forward oracle exactly once.
+
+    The entry contract, shared with :func:`run` and :func:`run_lifted` and
+    checked before any oracle runs: the problem has the bundle's resolvent
+    and forward counts, and the state (``z`` here) is a finite real array of
+    d columns and n-1 rows (n in lifted form). Otherwise, and for an oracle
+    output that is not real of shape (d,), :class:`ParameterError` names
+    the culprit. The bundle is not validated, so one that fails the matrix
+    inequality can be stepped.
     """
-    z = np.asarray(z, dtype=float)
-    x, u, _ = _sweep(_sweep_plan(problem, params, check_dim=z.shape[1]), params.M.dot(z))
+    z = _entry_state(params, problem, z, params.n - 1, "z")
+    x, u, _ = _sweep(_sweep_plan(problem, params, check_dim=problem.dimension), params.M.dot(z))
     z_next = z - params.theta * params.M.T.dot(x)
     return z_next, x, u
 
@@ -289,21 +310,6 @@ class _Anderson:
         return t_w - ((np.stack(self.dw, axis=1) + dg) @ coef).reshape(w.shape), True
 
 
-def _checked_bundle(params, problem):
-    """The bundle's :class:`ValidationReport`; raises :class:`ParameterError`
-    unless the bundle validates and its resolvent and forward counts match
-    the problem's."""
-    report = validate_params(params)
-    if not report.passed:
-        raise ParameterError(f"parameters fail validation: {report.to_dict()}")
-    if params.n != problem.n or params.m != problem.m:
-        raise ParameterError(
-            f"parameter counts (n={params.n}, m={params.m}) do not match "
-            f"problem counts (n={problem.n}, m={problem.m})"
-        )
-    return report
-
-
 class _Monitor:
     """The records and every ending of one run, fed once per evaluation.
 
@@ -362,7 +368,9 @@ def _fixed_point_loop(problem, params, state0, to_drive, advance, max_iters, sto
         raise ParameterError(f"max_iters must be at least 1, got {max_iters}")
     if not (stop >= 0.0 and rel_stop >= 0.0):
         raise ParameterError(f"stop and rel_stop must be nonnegative, got {stop} and {rel_stop}")
-    validation = _checked_bundle(params, problem)
+    validation = validate_params(params)
+    if not validation.passed:
+        raise ParameterError(f"parameters fail validation: {validation.to_dict()}")
     theta = params.theta
     anderson = _Anderson() if accelerate else None
     state = state0
@@ -418,7 +426,8 @@ def run(
     Stops at ``max_iters``, when the residual falls below the absolute ``stop``
     threshold, or below ``rel_stop`` times the first residual. Raises
     :class:`DivergenceError` if the residual grows by a factor 1e6, and
-    :class:`ParameterError` when the bundle fails validation,
+    :class:`ParameterError`, before any sweep, when ``z0`` breaks the entry
+    contract of :func:`split_step`, the bundle fails validation,
     ``max_iters`` is below 1 (every run makes at least one sweep), or
     ``stop`` or ``rel_stop`` is negative or NaN; either may be ``inf``.
 
@@ -432,12 +441,7 @@ def run(
     below that level. The x-trajectory is then no longer the method's own,
     so this is for computing reference solutions, not for comparing methods.
     """
-    if z0 is None:
-        z0 = np.zeros((params.n - 1, problem.dimension))
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (params.n - 1, problem.dimension):
-        raise ParameterError("z0 must have shape (n-1, d)")
-
+    z0 = _entry_state(params, problem, z0, params.n - 1, "z0")
     m_mat, theta = params.M, params.theta
     return _fixed_point_loop(problem, params, z0, lambda z: m_mat.dot(z),
                              lambda z, x: z - theta * m_mat.T.dot(x), max_iters, stop,
@@ -470,11 +474,11 @@ def run_lifted(
     affine combination of such states). ``accelerate`` is as in :func:`run`.
 
     The bundle is built with :func:`from_components` from a factor of the
-    laplacian and S, and checked as in :func:`run`: a laplacian that is not
-    symmetric PSD with zero row sums and rank n-1, a laplacian or ``beta``
-    whose size does not match ``causal``, a theta outside (0, 1), counts that
-    do not match the problem, or a ``w0`` of the wrong shape or with a
-    nonzero block sum raise :class:`ParameterError`.
+    laplacian and S, and checked as in :func:`run`, with ``w0`` in place of
+    ``z0``. A laplacian that is not symmetric PSD with zero row sums and
+    rank n-1, a laplacian or ``beta`` whose size does not match ``causal``,
+    a theta outside (0, 1) or a ``w0`` with a nonzero block sum raise
+    :class:`ParameterError` too.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     if laplacian.shape != (causal.n, causal.n):
@@ -485,12 +489,7 @@ def run_lifted(
                              f"m={causal.m} forward operators")
     params = from_components(factor_laplacian(laplacian), laplacian + forward_penalty(causal, beta),
                              causal, beta, theta)
-    n, theta = params.n, params.theta
-    if w0 is None:
-        w0 = np.zeros((n, problem.dimension))
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (n, problem.dimension):
-        raise ParameterError("w0 must have shape (n, d)")
+    w0, theta = _entry_state(params, problem, w0, params.n, "w0"), params.theta
     drift = float(np.linalg.norm(w0.sum(axis=0)))
     if drift > 1e-8 * max(1.0, float(np.max(np.abs(w0)))):
         raise ParameterError("lifted state must start with zero block sum")

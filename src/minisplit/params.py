@@ -401,8 +401,10 @@ def params_from_dict(doc):
 
 
 def save_params(params, path):
+    """Write :func:`params_to_dict` as JSON; raises before opening ``path``."""
+    doc = params_to_dict(params)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=1)
+        json.dump(doc, fh, indent=1)
 
 
 def load_params(path):

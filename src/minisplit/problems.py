@@ -32,17 +32,6 @@ from .prox import (
 _BETA_MARGIN = 1.0 + 32.0 * np.finfo(float).eps
 
 
-def _even_blocks(p, m):
-    """Partition range(p) into m contiguous blocks, remainder to the front."""
-    base, extra = divmod(p, m)
-    blocks, start = [], 0
-    for i in range(m):
-        size = base + (1 if i < extra else 0)
-        blocks.append(np.arange(start, start + size))
-        start += size
-    return blocks
-
-
 @dataclass(frozen=True)
 class ToyProblemConfig:
     """Norm-distance terms plus a blockwise Huber data-fit forward term."""
@@ -108,8 +97,8 @@ def gen_toy_problem(cfg, *, beta_override=None):
 
     forwards = []
     if cfg.m:
-        blocks = _even_blocks(cfg.p, cfg.m)
-        for i, idx in enumerate(blocks):
+        # m contiguous row blocks, the remainder to the front
+        for i, idx in enumerate(np.array_split(np.arange(cfg.p), cfg.m)):
             psi_blk = psi[idx]
             y_blk = y[idx]
 
@@ -164,6 +153,11 @@ class PortfolioProblemConfig:
                 f"turnover_weight must be finite and positive, got {self.turnover_weight!r}"
             )
 
+    @property
+    def n(self):
+        """Resolvents: turnover prox, simplex and one halfspace per emission scope."""
+        return 2 + len(self.zeta)
+
 
 def synthetic_returns(p, d, seed):
     """Gaussian daily returns with a high-volatility regime-shift block."""
@@ -206,10 +200,10 @@ def load_returns_csv(path):
 
 
 def gen_portfolio_problem(cfg):
-    """Build the portfolio inclusion problem: n = 5 resolvents, m = chunks.
+    """Build the portfolio inclusion problem: ``cfg.n`` resolvents, m = chunks.
 
-    The five nonsmooth terms are the turnover penalty, the simplex constraint
-    and three emission halfspaces whose budgets come from the current
+    The nonsmooth terms are the turnover penalty, the simplex constraint
+    and one emission halfspace per scope, its budget set by the current
     portfolio. The quadratic risk-return term is split into per-chunk
     covariance gradients scaled so their sum approximates the full-sample
     quadratic; each declares twice the spectral norm of its covariance,
@@ -241,7 +235,7 @@ def gen_portfolio_problem(cfg):
     m = cfg.chunks
 
     sigmas = []
-    for i, idx in enumerate(_even_blocks(p, m)):
+    for i, idx in enumerate(np.array_split(np.arange(p), m)):
         with np.errstate(over="ignore", invalid="ignore"):
             sig = np.cov(returns[idx], rowvar=False) / m
         if not np.all(np.isfinite(sig)):

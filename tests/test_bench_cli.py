@@ -15,8 +15,10 @@ from minisplit.bench import (
     required_forward_count,
     run_experiment,
 )
-from minisplit.errors import DivergenceError, ParameterError
-from minisplit.params import params_from_dict, params_to_dict, save_params, validate_params
+from minisplit.errors import DivergenceError, NotRepresentableError, ParameterError
+from minisplit.params import (from_components, params_from_dict, params_to_dict, save_params,
+                              validate_params)
+from minisplit.presets import MethodDescriptor
 from minisplit.problems import PortfolioProblemConfig, ToyProblemConfig, gen_toy_problem
 
 
@@ -103,6 +105,26 @@ class TestRunExperiment:
         run_experiment(desc, prob, 25, 7, a)
         run_experiment(desc, prob, 25, 7, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unserializable_bundle_writes_nothing(self, toy, tmp_path):
+        _, prob = toy
+        params = method_for_problem("sfb+", prob, design_seed=1).params
+        # the same bundle built from its S carries no P to save
+        bare = from_components(params.M, params.S, params.causal, params.beta, params.theta)
+        desc = MethodDescriptor(name="bare", params=bare)
+        with pytest.raises(NotRepresentableError):
+            run_experiment(desc, prob, 5, 1, tmp_path / "run.csv")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(NotRepresentableError):
+            save_params(bare, tmp_path / "bare.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_path_that_is_its_own_sidecar_writes_nothing(self, toy, tmp_path):
+        _, prob = toy
+        desc = method_for_problem("sfb+", prob, design_seed=1)
+        with pytest.raises(ParameterError, match="overwritten by its own sidecar"):
+            run_experiment(desc, prob, 5, 1, tmp_path / "run.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_timing_opt_in(self, toy, tmp_path):
         cfg, prob = toy
@@ -362,6 +384,14 @@ class TestCli:
         ])
         assert code == 0
         assert len(validations) == 1
+
+    def test_run_out_path_that_is_its_own_sidecar_exits_1(self, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "toy", "--method", "sfb+", "--iters", "5",
+                         "--out", str(tmp_path / "run.json"), "--n", "3", "--d", "5", "--p", "6",
+                         "--m", "2"])
+        assert code == 1
+        assert "overwritten by its own sidecar" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_params_problem_mismatch(self, tmp_path, capsys):
         prob = gen_toy_problem(ToyProblemConfig(n=3, d=5, p=6, m=2, seed=4))

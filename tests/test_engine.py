@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,79 @@ class TestSplitStep:
             split_step(params, counted, np.zeros((3, 2)))
             assert [c.count for c in res_c] == [1] * 4
             assert [c.count for c in fwd_c] == [1] * 3
+
+
+class TestEntryContract:
+    """``split_step``, ``run`` and ``run_lifted`` share one entry check: it
+    names the state's argument and runs before any oracle."""
+
+    @staticmethod
+    def _enter(entry, params, prob, state):
+        if entry == "split_step":
+            return split_step(params, prob, state)
+        if entry == "run":
+            return run(params, prob, z0=state, max_iters=5)
+        return run_lifted(params.M @ params.M.T, params.causal, params.beta, params.theta, prob,
+                          w0=state, max_iters=5)
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "complex", "one-dimensional", "extra-row",
+                                      "extra-column", "strings"])
+    @pytest.mark.parametrize("entry, name", [("split_step", "z"), ("run", "z0"),
+                                             ("run_lifted", "w0")])
+    def test_bad_state_named_before_any_oracle(self, entry, name, case):
+        prob, res_c, fwd_c = counting_problem(gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2)))
+        params = params_for_problem(prob, 11)
+        rows = 3 if entry == "run_lifted" else 2
+        state = np.zeros((rows, 4))
+        if case == "nan":
+            state[0, 1] = np.nan
+        elif case == "inf":
+            state[1, 2] = np.inf
+        elif case == "complex":
+            state = state + 1j
+        elif case == "one-dimensional":
+            state = state[0]
+        elif case == "extra-row":
+            state = np.zeros((rows + 1, 4))
+        elif case == "extra-column":
+            state = np.zeros((rows, 5))
+        else:
+            state = np.full((rows, 4), "0")
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{name} must be a finite real array of shape ({rows}, 4)")):
+            self._enter(entry, params, prob, state)
+        assert [c.count for c in res_c + fwd_c] == [0] * 5
+
+    @pytest.mark.parametrize("entry", ["split_step", "run", "run_lifted"])
+    def test_count_mismatch_named_before_any_oracle(self, entry):
+        params = params_for_problem(gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2)), 11)
+        # one more resolvent and one more forward than the bundle calls
+        prob, res_c, fwd_c = counting_problem(gen_toy_problem(ToyProblemConfig(n=4, d=4, p=6, m=3)))
+        with pytest.raises(ParameterError,
+                           match=re.escape("(n=3, m=2) do not match problem counts (n=4, m=3)")):
+            self._enter(entry, params, prob, None)
+        assert [c.count for c in res_c + fwd_c] == [0] * 7
+
+    @pytest.mark.parametrize("entry", ["split_step", "run", "run_lifted"])
+    def test_a_list_start_runs_as_its_array(self, entry):
+        prob = gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2))
+        params = params_for_problem(prob, 11)
+        start = np.arange(12.0).reshape(3, 4) - 5.5
+        start = start - start.mean(axis=0) if entry == "run_lifted" else start[:2]
+        got, want = (self._enter(entry, params, prob, s) for s in (start.tolist(), start))
+        if entry != "split_step":
+            got, want = ((r.fp_residual, r.final_x) for r in (got, want))
+        _assert_same_bits(got, want)
+
+    def test_split_step_steps_a_bundle_that_fails_validation(self):
+        m_mat = np.sqrt(0.1 / 5.0) * np.array([[1.0], [-1.0]])
+        s_mat = (2 / 5.0) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        pair = CausalPair(np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]), np.array([0, 1]))
+        bad = from_components(m_mat, s_mat, pair, np.array([1.0]), 0.9)
+        assert not validate_params(bad).passed
+        prob = random_affine_problem(np.random.default_rng(0), 2, 1, 3, beta=np.array([1.0]))
+        z_next, x, u = split_step(bad, prob, np.ones((1, 3)))
+        assert z_next.shape == (1, 3) and x.shape == (2, 3) and u.shape == (1, 3)
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -239,6 +240,12 @@ class TestPortfolioProblem:
         prob = gen_portfolio_problem(PortfolioProblemConfig(seed=0))
         assert prob.n == 5
         assert prob.m == 4
+
+    def test_config_knows_the_resolvent_count(self):
+        cfg = PortfolioProblemConfig(seed=1, chunks=3)
+        assert cfg.n == gen_portfolio_problem(cfg).n
+        # a property, so configurations serialize as before
+        assert "n" not in dataclasses.asdict(cfg)
 
     def test_initial_portfolio_feasible_without_tightening(self):
         cfg = PortfolioProblemConfig(seed=1, zeta=(0.0, 0.0, 0.0))

@@ -3,6 +3,11 @@ each name it imports, unless the import line carries ``# noqa: F401``, and
 reads each plain name a function assigns. A tuple target, a loop variable
 and a name that starts with an underscore are exempt, as in pyflakes.
 
+No orphan definitions: every function and class that the library defines,
+methods included, is named somewhere besides its definition, in the
+library, the tests or the benchmark (as a name, an attribute, an imported
+name or a string such as a patched binding). Dunder methods are exempt.
+
 No undeclared dependency either: every module, ``__init__.py`` included,
 imports only from the package itself, the standard library and numpy.
 """
@@ -13,7 +18,8 @@ import sys
 
 import pytest
 
-SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "minisplit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "minisplit"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 ALLOWED_IMPORTS = {"minisplit", "numpy"} | set(sys.stdlib_module_names)
 
@@ -72,6 +78,36 @@ def unused_locals(source):
     return unused
 
 
+def _mentions(tree):
+    """Identifiers that ``tree`` names outside any definition's own name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def orphan_definitions(defining, everywhere):
+    """Functions and classes defined in the ``defining`` sources (a mapping
+    of label to source) that no source in ``everywhere`` names."""
+    named = set().union(*(_mentions(ast.parse(source)) for source in everywhere))
+    orphans = []
+    for label, source in defining.items():
+        defs = [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        orphans += [f"{label} line {node.lineno}: {node.name}"
+                    for node in sorted(defs, key=lambda node: node.lineno)
+                    if node.name not in named
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return orphans
+
+
 def foreign_imports(source):
     """Imported top-level packages outside ``ALLOWED_IMPORTS``; a relative
     import is the package itself."""
@@ -114,11 +150,37 @@ def test_the_checks_catch_what_they_are_for():
     )
     assert foreign_imports(source) == ["line 1: scipy.linalg", "line 5: scipy"]
 
+    library = (
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        self.kept = 1\n"
+        "    def method(self):\n"
+        "        return _helper()\n"
+        "    def orphan_method(self):\n"
+        "        pass\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def patched():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    pass\n"
+    )
+    elsewhere = "from lib import Used\nUsed().method()\nbindings = [(lib, 'patched')]\n"
+    assert orphan_definitions({"lib": library}, [library, elsewhere]) == [
+        "lib line 6: orphan_method", "lib line 12: orphan"]
+
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_names(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source) + unused_locals(source) == []
+
+
+def test_every_definition_is_named_somewhere():
+    sources = [path.read_text(encoding="utf-8")
+               for tree in ("src", "tests", "perfbench") for path in sorted((ROOT / tree).rglob("*.py"))]
+    library = {path.name: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+    assert orphan_definitions(library, sources) == []
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
