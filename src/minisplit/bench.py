@@ -116,7 +116,8 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
     bundle is. CSV bytes are identical for identical (method, problem, seed)
     unless ``timing`` is on. A bundle that cannot be serialized, or an
     ``out_path`` that is its own sidecar path (a ``.json`` name), raises
-    :class:`ParameterError` before the run, and nothing is written.
+    :class:`ParameterError` before the run, and nothing is written; a
+    write that fails leaves neither file.
     """
     sidecar_path = os.path.splitext(str(out_path))[0] + ".json"
     if sidecar_path == str(out_path):
@@ -135,9 +136,22 @@ def run_experiment(method, problem, iters, seed, out_path, *, stop=0.0, timing=F
         "validation": report.validation.to_dict(),
         "params": params_doc,
     }, indent=1)
-    report.write_csv(out_path, timing=timing)
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(sidecar)
+    # staged beside the targets and renamed once both exist: a failure leaves neither
+    tmp_csv, tmp_json = (f"{path}.{os.getpid()}.tmp" for path in (out_path, sidecar_path))
+    try:
+        report.write_csv(tmp_csv, timing=timing)
+        with open(tmp_json, "w", encoding="utf-8") as fh:
+            fh.write(sidecar)
+        os.replace(tmp_json, sidecar_path)
+        try:
+            os.replace(tmp_csv, out_path)
+        except OSError:
+            os.remove(sidecar_path)
+            raise
+    finally:
+        for tmp in (tmp_csv, tmp_json):
+            if os.path.lexists(tmp):
+                os.remove(tmp)
     return report
 
 

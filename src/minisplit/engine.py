@@ -100,14 +100,12 @@ def _sweep_plan(problem, params, check_dim=None):
     for i, f_i in enumerate(causal.F.tolist()):
         due = tuple((jj, evaluate(problem.forwards[jj]), k_mat[jj, :i], _unit_column(k_mat[jj, :i]))
                     for jj in range(j, f_i))
-        j = max(j, f_i)
+        j = f_i
         h_row = h_mat[i, :f_i] if f_i else None
         rows.append((due, s_mat[i, :i] if i else None, h_row,
                      None if h_row is None else _unit_column(h_row), f_i,
                      float(params.gamma[i]), evaluate(problem.resolvents[i])))
-    m = k_mat.shape[0]
-    assert j == m, "schedule failed to consume every forward operator"
-    return tuple(rows), m
+    return tuple(rows), k_mat.shape[0]
 
 
 def _sweep(plan, drive):
@@ -162,7 +160,11 @@ def _entry_state(params, problem, state, rows, name):
     shape = (rows, problem.dimension)
     if state is None:
         return np.zeros(shape)
-    state = np.asarray(state)
+    try:
+        state = np.asarray(state)
+    except ValueError:  # numpy refuses a ragged nested sequence
+        raise ParameterError(f"{name} must be a finite real array of shape {shape}; "
+                             "got a ragged nested sequence") from None
     if state.dtype.kind not in "biuf" or state.shape != shape or not np.isfinite(state).all():
         raise ParameterError(f"{name} must be a finite real array of shape {shape}; "
                              f"got {state.dtype} of shape {state.shape}")

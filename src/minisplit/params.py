@@ -8,19 +8,18 @@ relaxation theta. The derived step matrix is
     S = M M^T + P P^T + W,   W = (1/2) (H - K^T) diag(beta) (H^T - K),
 
 with per-resolvent step sizes gamma = 2 / diag(S) and the strictly lower
-coupling L = -slt(S). Bundles built this way are averaged nonexpansive by
-construction; ``validate_params`` certifies the four structural conditions
-(coupling null space, triangular structure, causal routing, and the linear
-matrix inequality) for bundles of any provenance.
+coupling L = -slt(S). Construction checks every structural fact but the
+linear matrix inequality, which only a bundle given its S can fail;
+``validate_params`` reports all four conditions with their residuals.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import NotRepresentableError, ParameterError
-from .schedule import CausalPair, is_causal_pair
+from .schedule import CausalPair
 
 _RANK_RTOL = 1e-10
 #: Tolerances of ``validate_params``: the coupling null space (relative to
@@ -51,10 +50,15 @@ def forward_penalty(causal, beta):
 class SplittingParams:
     """One point of the method family; S is stored, W and gamma are derived.
 
-    ``assemble`` stores P and derives S; ``from_components`` stores the S it
-    was given and sets ``P = None``, so its bundle cannot be serialized.
-    Every bundle has a positive diagonal of S, theta in (0, 1) and a step
-    matrix that satisfies the trace identity; construction raises otherwise.
+    Construction is the one place that checks a bundle's structure, however
+    it is built, and raises :class:`ParameterError` naming the field: M
+    finite, n >= 2, n x (n-1), with zero column sums and full column rank;
+    a :class:`CausalPair` for n resolvents (None only without forwards) and
+    a finite nonnegative beta, one entry per forward; P, when present, with
+    n rows and zero column sums; then a positive diagonal of S, theta in
+    (0, 1) and the trace identity. Without S the bundle derives
+    S = M M^T + P P^T + W, with P = None stored as an empty slack; a given S
+    is stored as it is, and with P = None the bundle cannot be serialized.
     """
 
     M: np.ndarray
@@ -62,19 +66,26 @@ class SplittingParams:
     causal: CausalPair
     beta: np.ndarray
     theta: float
-    S: np.ndarray
+    S: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("M", "beta", "S"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        if self.P is not None:
-            object.__setattr__(self, "P", _freeze(self.P))
+        m_mat = _check_coupling(self.M)
+        n = m_mat.shape[0]
+        causal, beta = _as_causal(self.causal, n, self.beta)
+        p_mat, s_mat = self.P, self.S
+        if s_mat is None:
+            p_mat = _check_centering(np.zeros((n, 0)) if p_mat is None else p_mat, n, "slack factor P")
+            s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + forward_penalty(causal, beta)
+        elif p_mat is not None:
+            p_mat = _check_centering(p_mat, n, "slack factor P")
+        for name, value in (("M", m_mat), ("P", p_mat), ("beta", beta), ("S", s_mat)):
+            object.__setattr__(self, name, None if value is None else _freeze(value))
+        object.__setattr__(self, "causal", causal)
+        object.__setattr__(self, "theta", float(self.theta))
         diag = np.diag(self.S)
         if not np.all(diag > 1e-12):  # NaN fails too
             bad = int(np.argmin(diag)) + 1
-            raise ParameterError(
-                f"degenerate step matrix: resolvent {bad} receives no coupling"
-            )
+            raise ParameterError(f"degenerate step matrix: resolvent {bad} receives no coupling")
         if not 0.0 < self.theta < 1.0:
             raise ParameterError("relaxation theta must lie in (0, 1)")
         # consistency of the trace identity, guaranteed by construction
@@ -130,15 +141,28 @@ def _check_centering(mat, n, what):
     return mat
 
 
+def _check_coupling(m_mat):
+    m_mat = _check_finite(m_mat, "coupling factor M")
+    n = m_mat.shape[0] if m_mat.ndim else 0
+    _check_resolvents(n)
+    if m_mat.shape != (n, n - 1):
+        raise ParameterError("coupling factor M must have n-1 columns")
+    _check_centering(m_mat, n, "coupling factor M")
+    sv = np.linalg.svd(m_mat, compute_uv=False)
+    if sv[-1] <= _RANK_RTOL * sv[0]:
+        raise ParameterError("coupling factor M must have full column rank n-1")
+    return m_mat
+
+
 def _as_causal(causal, n, beta):
     beta = np.asarray(beta, dtype=float)
     if causal is None:
         if beta.size:
             raise ParameterError("forward operators present but no routing pair given")
         causal = CausalPair.empty(n)
-    if causal.n != n:
+    if not isinstance(causal, CausalPair) or causal.n != n:
         raise ParameterError("routing pair does not match the number of resolvents")
-    if causal.m != beta.size:
+    if beta.shape != (causal.m,):
         raise ParameterError("beta length must equal the number of forward operators")
     if not np.all(np.isfinite(beta) & (beta >= 0)):
         raise ParameterError("cocoercivity parameters beta must be finite and nonnegative")
@@ -146,45 +170,29 @@ def _as_causal(causal, n, beta):
 
 
 def assemble(m_mat, p_mat, causal, beta, theta):
-    """Build a parameter bundle from its defining matrices.
+    """Build a bundle from its defining matrices, deriving
+    S = M M^T + P P^T + W; ``p_mat = None`` means no slack.
 
-    Requires finite inputs, n >= 2, M^T 1 = 0 with full column rank,
-    P^T 1 = 0, a causal routing pair matching ``beta``, and theta in (0, 1).
-    The derived S and gamma satisfy the structural conditions by construction.
+    The checks and their errors are those of :class:`SplittingParams`.
+    Every preset and every loaded bundle is built here, so a saved bundle
+    replays byte for byte.
     """
-    m_mat = _check_centering(m_mat, np.asarray(m_mat).shape[0], "coupling factor M")
-    n = m_mat.shape[0]
-    _check_resolvents(n)
-    if m_mat.shape[1] != n - 1:
-        raise ParameterError("coupling factor M must have n-1 columns")
-    sv = np.linalg.svd(m_mat, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * sv[0]:
-        raise ParameterError("coupling factor M must have full column rank n-1")
-    causal, beta = _as_causal(causal, n, beta)
-    if p_mat is None:
-        p_mat = np.zeros((n, 0))
-    p_mat = _check_centering(p_mat, n, "slack factor P")
-
-    s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + forward_penalty(causal, beta)
-    return SplittingParams(m_mat, p_mat, causal, beta, float(theta), s_mat)
+    return SplittingParams(m_mat, p_mat, causal, beta, theta)
 
 
 def from_components(m_mat, s_mat, causal, beta, theta):
     """Build a bundle from an explicit step matrix S instead of a slack factor.
 
-    The bundle stores S, symmetrized, and ``P = None``, so it cannot be
-    serialized. ``engine.run_lifted`` builds its bundle here from S = L + W,
-    so the lifted reference keeps its bits; tests use it for bundles that
-    fail the matrix inequality. Every preset is built by :func:`assemble`.
+    S must be finite and n x n; the bundle stores it symmetrized, with
+    ``P = None``, so it cannot be serialized, and makes the other checks of
+    :class:`SplittingParams`. ``engine.run_lifted`` builds its bundle here
+    from S = L + W, so the lifted reference keeps its bits; tests use it
+    for bundles that fail the matrix inequality.
     """
-    m_mat = _check_finite(m_mat, "coupling factor M")
-    n = m_mat.shape[0]
-    _check_resolvents(n)
     s_mat = _check_finite(s_mat, "step matrix S")
-    if s_mat.shape != (n, n):
+    if s_mat.shape != np.shape(m_mat)[:1] * 2:  # (n, n) for the n rows of M
         raise ParameterError("step matrix S must be n x n")
-    causal, beta = _as_causal(causal, n, beta)
-    return SplittingParams(m_mat, None, causal, beta, float(theta), (s_mat + s_mat.T) / 2.0)
+    return SplittingParams(m_mat, None, causal, beta, theta, (s_mat + s_mat.T) / 2.0)
 
 
 def factor_laplacian(lap):
@@ -262,58 +270,33 @@ class ValidationReport:
 
     @property
     def passed(self):
-        return (
-            self.null_space_ok
-            and self.structure_ok
-            and self.routing_ok
-            and self.contraction_ok
-        )
+        return self.null_space_ok and self.structure_ok and self.routing_ok and self.contraction_ok
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "null_space_ok": self.null_space_ok,
-            "structure_ok": self.structure_ok,
-            "routing_ok": self.routing_ok,
-            "contraction_ok": self.contraction_ok,
-            "lmi_min_eigenvalue": self.lmi_min_eigenvalue,
-            "null_space_residuals": list(self.null_space_residuals),
-            "trace_residual": self.trace_residual,
-            "row_sum_residuals": list(self.row_sum_residuals),
-        }
+        """``passed``, then every field in order, tuples as lists."""
+        doc = {"passed": self.passed, **asdict(self)}
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in doc.items()}
 
 
 def validate_params(params):
-    """Report, never raise: check all four structural conditions."""
-    n = params.n
-    ones = np.ones(n)
-
+    """Report, never raise: the four structural conditions, with their
+    residuals. Construction has proved M's shape and rank, the strict
+    lower L and the routing's supports; this measures the rest."""
+    ones = np.ones(params.n)
     sv = np.linalg.svd(params.M, compute_uv=False)
     null_resid = float(np.linalg.norm(params.M.T @ ones))
     sv_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    m_scale = max(1.0, float(sv[0]))
-    null_ok = (
-        params.M.shape[1] == n - 1
-        and sv_ratio > _RANK_RTOL
-        and null_resid <= _NULL_TOL * m_scale
-    )
+    null_ok = null_resid <= _NULL_TOL * max(1.0, float(sv[0]))
 
     l_mat = params.L
-    strict_lower = bool(np.all(np.triu(l_mat) == 0.0))
     gamma_inv = np.diag(1.0 / params.gamma)
     trace_resid = float(ones @ (gamma_inv - l_mat) @ ones)
-    structure_ok = strict_lower and abs(trace_resid) <= _SUM_TOL * max(
-        1.0, float(np.sum(1.0 / params.gamma))
-    )
+    structure_ok = abs(trace_resid) <= _SUM_TOL * max(1.0, float(np.sum(1.0 / params.gamma)))
 
     causal = params.causal
-    causal_supports = is_causal_pair(causal.H, causal.K, causal.F)
-    if params.m:
-        h_resid = float(np.max(np.abs(causal.H.sum(axis=0) - 1.0)))
-        k_resid = float(np.max(np.abs(causal.K.sum(axis=1) - 1.0)))
-    else:
-        h_resid = k_resid = 0.0
-    routing_ok = causal_supports and h_resid <= _SUM_TOL and k_resid <= _SUM_TOL
+    h_resid = float(np.max(np.abs(causal.H.sum(axis=0) - 1.0), initial=0.0))
+    k_resid = float(np.max(np.abs(causal.K.sum(axis=1) - 1.0), initial=0.0))
+    routing_ok = h_resid <= _SUM_TOL and k_resid <= _SUM_TOL
 
     target = 2.0 * gamma_inv - l_mat - l_mat.T
     resid = target - params.M @ params.M.T - params.W

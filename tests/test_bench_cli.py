@@ -393,6 +393,17 @@ class TestCli:
         assert "overwritten by its own sidecar" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["r.json", "r.csv"])
+    def test_run_that_cannot_write_one_file_writes_neither(self, blocked, tmp_path, capsys):
+        # a directory in the place of one file: the other must not be left behind
+        (tmp_path / blocked).mkdir()
+        code = cli.main(["run", "--problem", "toy", "--method", "gfb", "--m", "4", "--iters", "5",
+                         "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "I/O error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+        assert list((tmp_path / blocked).iterdir()) == []
+
     def test_run_params_problem_mismatch(self, tmp_path, capsys):
         prob = gen_toy_problem(ToyProblemConfig(n=3, d=5, p=6, m=2, seed=4))
         desc = method_for_problem("sfb+", prob, design_seed=4)

@@ -310,6 +310,18 @@ class TestEntryContract:
             self._enter(entry, params, prob, state)
         assert [c.count for c in res_c + fwd_c] == [0] * 5
 
+    @pytest.mark.parametrize("entry, name", [("split_step", "z"), ("run", "z0"),
+                                             ("run_lifted", "w0")])
+    def test_ragged_state_named_before_any_oracle(self, entry, name):
+        prob, res_c, fwd_c = counting_problem(gen_toy_problem(ToyProblemConfig(n=3, d=2, p=6, m=2)))
+        params = params_for_problem(prob, 11)
+        rows = 3 if entry == "run_lifted" else 2
+        state = [[0.0, 0.0]] * (rows - 1) + [[0.0]]  # numpy cannot make an array of it
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"{name} must be a finite real array of shape ({rows}, 2)")):
+            self._enter(entry, params, prob, state)
+        assert [c.count for c in res_c + fwd_c] == [0] * 5
+
     @pytest.mark.parametrize("entry", ["split_step", "run", "run_lifted"])
     def test_count_mismatch_named_before_any_oracle(self, entry):
         params = params_for_problem(gen_toy_problem(ToyProblemConfig(n=3, d=4, p=6, m=2)), 11)

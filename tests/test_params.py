@@ -12,13 +12,15 @@ from minisplit.params import (
     SplittingParams,
     assemble,
     factor_laplacian,
+    forward_penalty,
     from_components,
     params_from_dict,
     params_to_dict,
     random_coupling,
+    random_slack,
     validate_params,
 )
-from minisplit.schedule import CausalPair
+from minisplit.schedule import CausalPair, random_causal_pair, random_schedule
 
 
 def _dy_pair(m=1):
@@ -167,6 +169,63 @@ class TestFromComponents:
             from_components(np.zeros((1, 0)), np.ones((1, 1)), None, np.zeros(0), 0.9)
 
 
+def _door_inputs(case):
+    """(M, pair, beta, S) of a valid n = 3 bundle with two forwards, or
+    the same with the one defect named by ``case``."""
+    m_mat = factor_laplacian(graph_laplacian(complete_graph(3)))
+    pair = random_causal_pair(3, 2, [0, 1, 2], seed=4)
+    beta = np.array([1.0, 2.0])
+    s_mat = m_mat @ m_mat.T + forward_penalty(pair, beta)
+    if case == "nan-M":
+        m_mat = np.where(np.eye(3, 2) > 0, np.nan, m_mat)
+    elif case == "uncentered-M":
+        m_mat = m_mat + 0.5
+    elif case == "zero-M":
+        m_mat = np.zeros((3, 2))
+    elif case == "wide-M":
+        m_mat = np.column_stack([m_mat, m_mat[:, 0]])
+    elif case == "negative-beta":
+        beta = np.array([1.0, -2.0])
+    elif case == "short-beta":
+        beta = np.array([1.0])
+    elif case == "pair-for-four":
+        pair = random_causal_pair(4, 2, [0, 1, 1, 2], seed=4)
+    return m_mat, pair, beta, s_mat
+
+
+class TestEveryDoor:
+    """Direct construction, ``assemble`` and ``from_components`` refuse the
+    same bundles with the same messages: the constructor checks them all."""
+
+    DOORS = {
+        "direct": lambda m_mat, pair, beta, s_mat: SplittingParams(m_mat, None, pair, beta, 0.9, s_mat),
+        "assemble": lambda m_mat, pair, beta, s_mat: assemble(m_mat, None, pair, beta, 0.9),
+        "from_components": lambda m_mat, pair, beta, s_mat: from_components(m_mat, s_mat, pair, beta,
+                                                                            0.9),
+    }
+
+    MESSAGES = {
+        "nan-M": "coupling factor M must be finite",
+        "uncentered-M": "coupling factor M must have zero column sums",
+        "zero-M": "coupling factor M must have full column rank n-1",
+        "wide-M": "coupling factor M must have n-1 columns",
+        "negative-beta": "cocoercivity parameters beta must be finite and nonnegative",
+        "short-beta": "beta length must equal the number of forward operators",
+        "pair-for-four": "routing pair does not match the number of resolvents",
+    }
+
+    def test_the_valid_inputs_pass_every_door(self):
+        for door in self.DOORS.values():
+            assert validate_params(door(*_door_inputs(None))).passed
+
+    @pytest.mark.parametrize("case", MESSAGES)
+    def test_every_door_refuses_the_same_input(self, case):
+        for name, door in self.DOORS.items():
+            with pytest.raises(ParameterError, match=self.MESSAGES[case]):
+                door(*_door_inputs(case))
+                pytest.fail(f"{name} accepted {case}")
+
+
 class TestValidation:
     def test_assembled_bundles_pass(self):
         for seed in range(40):
@@ -179,6 +238,36 @@ class TestValidation:
     def test_every_assembled_bundle_passes(self, seed, slack_norm):
         report = validate_params(random_params(seed, slack_norm=slack_norm))
         assert report.passed, report.to_dict()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 6), m=st.integers(0, 5),
+           door=st.sampled_from(["assemble", "assemble-slack", "from_components"]),
+           defect=st.sampled_from([None, "uncenter", "drop-rank", "widen", "narrow"]))
+    def test_every_accepted_bundle_has_the_structure(self, seed, n, m, door, defect):
+        # what construction lets through, validate_params certifies structurally
+        rng = np.random.default_rng(seed)
+        m_mat = random_coupling(n, seed=seed)
+        if defect == "uncenter":
+            m_mat = m_mat + rng.uniform(1e-3, 1.0) * rng.uniform(0.5, 1.5, size=m_mat.shape)
+        elif defect == "drop-rank":
+            m_mat[:, -1] = m_mat[:, 0]
+        elif defect == "widen":
+            m_mat = np.column_stack([m_mat, m_mat[:, :1] - m_mat[:, -1:]])
+        elif defect == "narrow":
+            m_mat = m_mat[:, 1:]
+        pair = random_causal_pair(n, m, random_schedule(n, m, seed), seed=seed)
+        beta = rng.uniform(0.0, 5.0, m) * (rng.uniform(size=m) < 0.8)
+        try:
+            if door == "from_components":
+                s_mat = m_mat @ m_mat.T + forward_penalty(pair, beta)
+                params = from_components(m_mat, rng.uniform(0.5, 2.0) * s_mat, pair, beta, 0.9)
+            else:
+                slack = random_slack(n, 0.5, seed=seed) if door == "assemble-slack" else None
+                params = assemble(m_mat, slack, pair, beta, 0.9)
+        except ParameterError:
+            return
+        report = validate_params(params)
+        assert report.null_space_ok and report.structure_ok and report.routing_ok, report.to_dict()
 
     def test_slack_bundles_pass_with_positive_margin(self):
         report = validate_params(random_params(3, n=4, m=2, slack_norm=0.7))

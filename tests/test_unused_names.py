@@ -10,6 +10,9 @@ name or a string such as a patched binding). Dunder methods are exempt.
 
 No undeclared dependency either: every module, ``__init__.py`` included,
 imports only from the package itself, the standard library and numpy.
+
+No ``assert`` statement in any module: ``python -O`` strips them, so a
+library check must raise.
 """
 
 import ast
@@ -124,6 +127,12 @@ def foreign_imports(source):
     return foreign
 
 
+def assert_statements(source):
+    """Lines of the ``assert`` statements in ``source``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
 def test_the_checks_catch_what_they_are_for():
     source = (
         "import os\n"
@@ -149,6 +158,15 @@ def test_the_checks_catch_what_they_are_for():
         "    import minisplit.params\n"
     )
     assert foreign_imports(source) == ["line 1: scipy.linalg", "line 5: scipy"]
+
+    source = (
+        "def f(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    if x:\n"
+        "        assert x\n"
+        "    return 'assert'\n"
+    )
+    assert assert_statements(source) == ["line 2", "line 4"]
 
     library = (
         "class Used:\n"
@@ -186,3 +204,8 @@ def test_every_definition_is_named_somewhere():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_only_numpy_and_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []
