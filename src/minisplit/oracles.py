@@ -12,6 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
+from .params import _is_integer
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class ProblemSpec:
         object.__setattr__(self, "forwards", tuple(self.forwards))
         if self.n < 2:
             raise ParameterError("need at least two resolvent oracles")
+        if not _is_integer(self.dimension):
+            raise ParameterError(f"dimension must be an integer, got {self.dimension!r}")
         if self.dimension < 1:
             raise ParameterError("dimension must be positive")
         for f in self.forwards:

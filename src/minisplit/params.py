@@ -8,9 +8,9 @@ relaxation theta. The derived step matrix is
     S = M M^T + P P^T + W,   W = (1/2) (H - K^T) diag(beta) (H^T - K),
 
 with per-resolvent step sizes gamma = 2 / diag(S) and the strictly lower
-coupling L = -slt(S). Construction checks every structural fact but the
-linear matrix inequality, which only a bundle given its S can fail;
-``validate_params`` reports all four conditions with their residuals.
+coupling L = -slt(S). Each structural condition has one check, which
+construction raises on and ``validate_params`` reports; the report adds
+the linear matrix inequality, which only a bundle given its S can fail.
 """
 
 import json
@@ -19,14 +19,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotRepresentableError, ParameterError
-from .schedule import CausalPair
+from .schedule import CausalPair, routing_sums
 
-_RANK_RTOL = 1e-10
-#: Tolerances of ``validate_params``: the coupling null space (relative to
-#: ||M||_2), the trace identity and routing sums, and the matrix inequality
-#: (relative to its largest entry).
+#: One tolerance per condition, relative to the scale its check names:
+#: column sums, rank, trace identity and matrix inequality.
 _NULL_TOL = 1e-9
-_SUM_TOL = 1e-9
+_RANK_RTOL = 1e-10
+_TRACE_TOL = 1e-10
 _PSD_TOL = 1e-8
 #: Relaxation of every preset and CLI run that does not pin one; any theta in
 #: (0, 1) is admissible, and ``SplittingParams`` rejects the rest.
@@ -54,11 +53,10 @@ class SplittingParams:
     it is built, and raises :class:`ParameterError` naming the field: M
     finite, n >= 2, n x (n-1), with zero column sums and full column rank;
     a :class:`CausalPair` for n resolvents (None only without forwards) and
-    a finite nonnegative beta, one entry per forward; P, when present, with
-    n rows and zero column sums; then a positive diagonal of S, theta in
-    (0, 1) and the trace identity. Without S the bundle derives
-    S = M M^T + P P^T + W, with P = None stored as an empty slack; a given S
-    is stored as it is, and with P = None the bundle cannot be serialized.
+    a finite nonnegative beta, one entry per forward; P (n rows, zero column
+    sums; None is an empty slack), from which S = M M^T + P P^T + W, or else
+    a finite n x n S, stored symmetrized with P = None (not serializable);
+    then a positive diagonal of S, theta in (0, 1) and the trace identity.
     """
 
     M: np.ndarray
@@ -69,15 +67,42 @@ class SplittingParams:
     S: np.ndarray = None
 
     def __post_init__(self):
-        m_mat = _check_coupling(self.M)
-        n = m_mat.shape[0]
-        causal, beta = _as_causal(self.causal, n, self.beta)
+        m_mat = _check_finite(self.M, "coupling factor M")
+        n = m_mat.shape[0] if m_mat.ndim else 0
+        _check_resolvents(n)
+        if m_mat.shape != (n, n - 1):
+            raise ParameterError("coupling factor M must have n-1 columns")
+        _, centered, full_rank = _coupling_conditions(m_mat)
+        if not centered:
+            raise ParameterError("coupling factor M must have zero column sums")
+        if not full_rank:
+            raise ParameterError("coupling factor M must have full column rank n-1")
+        causal, beta = self.causal, np.asarray(self.beta, dtype=float)
+        if causal is None:
+            if beta.size:
+                raise ParameterError("forward operators present but no routing pair given")
+            causal = CausalPair.empty(n)
+        if not isinstance(causal, CausalPair) or causal.n != n:
+            raise ParameterError("routing pair does not match the number of resolvents")
+        if beta.shape != (causal.m,):
+            raise ParameterError("beta length must equal the number of forward operators")
+        if not np.all(np.isfinite(beta) & (beta >= 0)):
+            raise ParameterError("cocoercivity parameters beta must be finite and nonnegative")
         p_mat, s_mat = self.P, self.S
         if s_mat is None:
-            p_mat = _check_centering(np.zeros((n, 0)) if p_mat is None else p_mat, n, "slack factor P")
+            p_mat = _check_finite(np.zeros((n, 0)) if p_mat is None else p_mat, "slack factor P")
+            if p_mat.ndim != 2 or p_mat.shape[0] != n:
+                raise ParameterError(f"slack factor P must have {n} rows")
+            if not _centering(p_mat, np.linalg.norm(p_mat))[1]:  # ||P||_F bounds sigma_max
+                raise ParameterError("slack factor P must have zero column sums")
             s_mat = m_mat @ m_mat.T + p_mat @ p_mat.T + forward_penalty(causal, beta)
         elif p_mat is not None:
-            p_mat = _check_centering(p_mat, n, "slack factor P")
+            raise ParameterError("a bundle takes a slack factor P or a step matrix S, not both")
+        else:
+            s_mat = _check_finite(s_mat, "step matrix S")
+            if s_mat.shape != (n, n):
+                raise ParameterError("step matrix S must be n x n")
+            s_mat = (s_mat + s_mat.T) / 2.0
         for name, value in (("M", m_mat), ("P", p_mat), ("beta", beta), ("S", s_mat)):
             object.__setattr__(self, name, None if value is None else _freeze(value))
         object.__setattr__(self, "causal", causal)
@@ -88,11 +113,7 @@ class SplittingParams:
             raise ParameterError(f"degenerate step matrix: resolvent {bad} receives no coupling")
         if not 0.0 < self.theta < 1.0:
             raise ParameterError("relaxation theta must lie in (0, 1)")
-        # consistency of the trace identity, guaranteed by construction
-        ones = np.ones(self.n)
-        gamma = self.gamma
-        resid = abs(ones @ (np.diag(1.0 / gamma) + np.tril(self.S, -1)) @ ones)
-        if not resid <= 1e-10 * max(1.0, float(np.sum(1.0 / gamma))):
+        if not _trace_identity(np.diag(1.0 / self.gamma), self.L)[1]:
             raise ParameterError("step matrix is inconsistent with the trace identity")
 
     @property
@@ -131,42 +152,25 @@ def _check_resolvents(n):
         raise ParameterError(f"a bundle needs at least two resolvents, got n={n}")
 
 
-def _check_centering(mat, n, what):
-    mat = _check_finite(mat, what)
-    if mat.ndim != 2 or mat.shape[0] != n:
-        raise ParameterError(f"{what} must have {n} rows")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if mat.size and np.max(np.abs(mat.sum(axis=0))) > 1e-9 * scale:
-        raise ParameterError(f"{what} must have zero column sums")
-    return mat
+def _centering(mat, scale):
+    """||mat^T 1||_2, and whether it is at most _NULL_TOL max(1, scale)."""
+    resid = float(np.linalg.norm(mat.T @ np.ones(mat.shape[0])))
+    return resid, resid <= _NULL_TOL * max(1.0, float(scale))
 
 
-def _check_coupling(m_mat):
-    m_mat = _check_finite(m_mat, "coupling factor M")
-    n = m_mat.shape[0] if m_mat.ndim else 0
-    _check_resolvents(n)
-    if m_mat.shape != (n, n - 1):
-        raise ParameterError("coupling factor M must have n-1 columns")
-    _check_centering(m_mat, n, "coupling factor M")
+def _coupling_conditions(m_mat):
+    """(||M^T 1||_2, sigma_min / sigma_max), whether M is centered, whether it has full column rank."""
     sv = np.linalg.svd(m_mat, compute_uv=False)
-    if sv[-1] <= _RANK_RTOL * sv[0]:
-        raise ParameterError("coupling factor M must have full column rank n-1")
-    return m_mat
+    null_resid, centered = _centering(m_mat, sv[0])
+    sv_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    return (null_resid, sv_ratio), centered, bool(sv[-1] > _RANK_RTOL * sv[0])
 
 
-def _as_causal(causal, n, beta):
-    beta = np.asarray(beta, dtype=float)
-    if causal is None:
-        if beta.size:
-            raise ParameterError("forward operators present but no routing pair given")
-        causal = CausalPair.empty(n)
-    if not isinstance(causal, CausalPair) or causal.n != n:
-        raise ParameterError("routing pair does not match the number of resolvents")
-    if beta.shape != (causal.m,):
-        raise ParameterError("beta length must equal the number of forward operators")
-    if not np.all(np.isfinite(beta) & (beta >= 0)):
-        raise ParameterError("cocoercivity parameters beta must be finite and nonnegative")
-    return causal, beta
+def _trace_identity(gamma_inv, l_mat):
+    """1^T (Gamma^{-1} - L) 1, and whether it is at most _TRACE_TOL max(1, trace Gamma^{-1})."""
+    ones = np.ones(len(l_mat))
+    resid = float(ones @ (gamma_inv - l_mat) @ ones)
+    return resid, abs(resid) <= _TRACE_TOL * max(1.0, float(np.trace(gamma_inv)))
 
 
 def assemble(m_mat, p_mat, causal, beta, theta):
@@ -183,16 +187,11 @@ def assemble(m_mat, p_mat, causal, beta, theta):
 def from_components(m_mat, s_mat, causal, beta, theta):
     """Build a bundle from an explicit step matrix S instead of a slack factor.
 
-    S must be finite and n x n; the bundle stores it symmetrized, with
-    ``P = None``, so it cannot be serialized, and makes the other checks of
-    :class:`SplittingParams`. ``engine.run_lifted`` builds its bundle here
-    from S = L + W, so the lifted reference keeps its bits; tests use it
-    for bundles that fail the matrix inequality.
+    The checks and their errors are those of :class:`SplittingParams`.
+    ``engine.run_lifted`` builds its bundle here from S = L + W; tests use
+    it for bundles that fail the matrix inequality.
     """
-    s_mat = _check_finite(s_mat, "step matrix S")
-    if s_mat.shape != np.shape(m_mat)[:1] * 2:  # (n, n) for the n rows of M
-        raise ParameterError("step matrix S must be n x n")
-    return SplittingParams(m_mat, None, causal, beta, theta, (s_mat + s_mat.T) / 2.0)
+    return SplittingParams(m_mat, None, causal, beta, theta, s_mat)
 
 
 def factor_laplacian(lap):
@@ -228,8 +227,7 @@ def random_coupling(n, seed=0):
     center = np.eye(n) - np.ones((n, n)) / n
     for _ in range(100):
         m_mat = center @ rng.uniform(-1.0, 1.0, size=(n, n - 1))
-        sv = np.linalg.svd(m_mat, compute_uv=False)
-        if sv[-1] > _RANK_RTOL * max(sv[0], 1e-300):
+        if _coupling_conditions(m_mat)[2]:
             return m_mat
     raise ParameterError("failed to sample a full-rank coupling factor")
 
@@ -254,7 +252,8 @@ def random_slack(n, target_norm, seed=0):
 class ValidationReport:
     """Certification of the four structural conditions of the family.
 
-    ``lmi_min_eigenvalue`` is the smallest eigenvalue of
+    The first three flags are construction's own verdicts, true for every
+    bundle; ``lmi_min_eigenvalue`` is the smallest eigenvalue of
     2 Gamma^{-1} - L - L^T - M M^T - W; nonnegative (up to tolerance) means
     the iteration map is averaged nonexpansive for every admissible problem.
     """
@@ -279,24 +278,13 @@ class ValidationReport:
 
 
 def validate_params(params):
-    """Report, never raise: the four structural conditions, with their
-    residuals. Construction has proved M's shape and rank, the strict
-    lower L and the routing's supports; this measures the rest."""
-    ones = np.ones(params.n)
-    sv = np.linalg.svd(params.M, compute_uv=False)
-    null_resid = float(np.linalg.norm(params.M.T @ ones))
-    sv_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-    null_ok = null_resid <= _NULL_TOL * max(1.0, float(sv[0]))
-
-    l_mat = params.L
-    gamma_inv = np.diag(1.0 / params.gamma)
-    trace_resid = float(ones @ (gamma_inv - l_mat) @ ones)
-    structure_ok = abs(trace_resid) <= _SUM_TOL * max(1.0, float(np.sum(1.0 / params.gamma)))
-
-    causal = params.causal
-    h_resid = float(np.max(np.abs(causal.H.sum(axis=0) - 1.0), initial=0.0))
-    k_resid = float(np.max(np.abs(causal.K.sum(axis=1) - 1.0), initial=0.0))
-    routing_ok = h_resid <= _SUM_TOL and k_resid <= _SUM_TOL
+    """Report, never raise: the four structural conditions with their
+    residuals. Only the matrix inequality can fail, and only for a bundle
+    given its S: a derived S leaves the residual P P^T >= 0."""
+    gamma_inv, l_mat = np.diag(1.0 / params.gamma), params.L
+    null_space_residuals, centered, full_rank = _coupling_conditions(params.M)
+    trace_resid, structure_ok = _trace_identity(gamma_inv, l_mat)
+    row_sum_residuals, routing_ok = routing_sums(params.causal.H, params.causal.K)
 
     target = 2.0 * gamma_inv - l_mat - l_mat.T
     resid = target - params.M @ params.M.T - params.W
@@ -304,14 +292,14 @@ def validate_params(params):
     contraction_ok = lmi_min >= -_PSD_TOL * max(1.0, float(np.max(np.abs(target))))
 
     return ValidationReport(
-        null_space_ok=null_ok,
+        null_space_ok=centered and full_rank,
         structure_ok=structure_ok,
         routing_ok=routing_ok,
         contraction_ok=contraction_ok,
         lmi_min_eigenvalue=lmi_min,
-        null_space_residuals=(null_resid, sv_ratio),
+        null_space_residuals=null_space_residuals,
         trace_residual=trace_resid,
-        row_sum_residuals=(h_resid, k_resid),
+        row_sum_residuals=row_sum_residuals,
     )
 
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NotCausalError, ParameterError
 
+_SUM_TOL = 1e-9  # largest |sum - 1| of a column of H or a row of K
+
 
 def is_valid_schedule(f, n, m):
     """True iff ``f`` is a valid length-n schedule for m forward operators."""
@@ -64,12 +66,19 @@ def is_causal_pair(h_mat, k_mat, f):
     return bool(np.all(h_mat[~h_mask] == 0.0) and np.all(k_mat[~k_mask] == 0.0))
 
 
+def routing_sums(h_mat, k_mat):
+    """(max |H^T 1 - 1|, max |K 1 - 1|), zero without forwards, and whether both are within _SUM_TOL."""
+    resid = (float(np.max(np.abs(h_mat.sum(axis=0) - 1.0), initial=0.0)),
+             float(np.max(np.abs(k_mat.sum(axis=1) - 1.0), initial=0.0)))
+    return resid, resid[0] <= _SUM_TOL and resid[1] <= _SUM_TOL
+
+
 @dataclass(frozen=True)
 class CausalPair:
     """Validated forward-routing pair: H (n x m), K (m x n), schedule F.
 
-    Columns of H and rows of K sum to one; entries outside the staircase
-    supports are exact zeros.
+    H and K are finite, their column and row sums one, and entries outside
+    the staircase supports exact zeros.
     """
 
     H: np.ndarray
@@ -80,21 +89,19 @@ class CausalPair:
         h = np.ascontiguousarray(np.asarray(self.H, dtype=float))
         k = np.ascontiguousarray(np.asarray(self.K, dtype=float))
         f = np.asarray(self.F, dtype=int)
+        for name, mat in (("H", h), ("K", k)):
+            if not np.all(np.isfinite(mat)):
+                raise NotCausalError(f"routing matrix {name} must be finite")
         n, m = h.shape
         if not is_valid_schedule(f, n, m):
             raise NotCausalError(f"invalid schedule {f.tolist()} for n={n}, m={m}")
         if not is_causal_pair(h, k, f):
             raise NotCausalError("supports of H/K do not respect the schedule")
-        if m > 0:
-            col = h.sum(axis=0)
-            row = k.sum(axis=1)
-            if np.max(np.abs(col - 1.0)) > 1e-9 or np.max(np.abs(row - 1.0)) > 1e-9:
-                raise NotCausalError("H columns and K rows must sum to one")
-        for arr in (h, k, f):
+        if not routing_sums(h, k)[1]:
+            raise NotCausalError("H columns and K rows must sum to one")
+        for name, arr in (("H", h), ("K", k), ("F", f)):
             arr.flags.writeable = False
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "K", k)
-        object.__setattr__(self, "F", f)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self):

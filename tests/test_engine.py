@@ -660,8 +660,16 @@ class TestDiagnostics:
     (2, np.inf, 3, "forward 'bad' has beta inf"),
     (1, 1.0, 3, "at least two resolvent"),
     (2, 1.0, 0, "dimension must be positive"),
-], ids=["negative-beta", "nan-beta", "inf-beta", "one-resolvent", "no-dimension"])
+    (2, 1.0, 3.0, "dimension must be an integer, got 3.0"),
+    (2, 1.0, True, "dimension must be an integer, got True"),
+], ids=["negative-beta", "nan-beta", "inf-beta", "one-resolvent", "no-dimension", "float-dimension",
+        "bool-dimension"])
 def test_problem_spec_rejects_what_no_run_can_use(n, beta, d, message):
     res = tuple(ResolventOracle(lambda s, v: v.copy()) for _ in range(n))
     with pytest.raises(ParameterError, match=message):
         ProblemSpec(res, (ForwardOracle(lambda x: x, beta, "bad"),), d)
+
+
+def test_problem_spec_takes_a_numpy_integer_dimension():
+    res = tuple(ResolventOracle(lambda s, v: v.copy()) for _ in range(2))
+    assert ProblemSpec(res, (), np.int64(3)).dimension == 3

@@ -4,9 +4,11 @@ reads each plain name a function assigns. A tuple target, a loop variable
 and a name that starts with an underscore are exempt, as in pyflakes.
 
 No orphan definitions: every function and class that the library defines,
-methods included, is named somewhere besides its definition, in the
-library, the tests or the benchmark (as a name, an attribute, an imported
-name or a string such as a patched binding). Dunder methods are exempt.
+methods included, and every module-level constant (a plain name assigned
+at the top level of a module) is read somewhere besides its definition, in
+the library, the tests or the benchmark (as a name, an attribute, an
+imported name or a string such as a patched binding); assigning the name
+again does not count. Dunder names are exempt.
 
 No undeclared dependency either: every module, ``__init__.py`` included,
 imports only from the package itself, the standard library and numpy.
@@ -82,12 +84,12 @@ def unused_locals(source):
 
 
 def _mentions(tree):
-    """Identifiers that ``tree`` names outside any definition's own name."""
+    """Identifiers that ``tree`` reads, outside any definition's own name."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
@@ -97,17 +99,21 @@ def _mentions(tree):
 
 
 def orphan_definitions(defining, everywhere):
-    """Functions and classes defined in the ``defining`` sources (a mapping
-    of label to source) that no source in ``everywhere`` names."""
+    """Functions, classes and module-level constants defined in the
+    ``defining`` sources (a mapping of label to source) that no source in
+    ``everywhere`` reads."""
     named = set().union(*(_mentions(ast.parse(source)) for source in everywhere))
     orphans = []
     for label, source in defining.items():
-        defs = [node for node in ast.walk(ast.parse(source))
+        tree = ast.parse(source)
+        defs = [(node.lineno, node.name) for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        orphans += [f"{label} line {node.lineno}: {node.name}"
-                    for node in sorted(defs, key=lambda node: node.lineno)
-                    if node.name not in named
-                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        assigns = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+        defs += [(node.lineno, target.id) for node in assigns
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name)]
+        orphans += [f"{label} line {line}: {name}" for line, name in sorted(defs)
+                    if name not in named and not (name.startswith("__") and name.endswith("__"))]
     return orphans
 
 
@@ -177,15 +183,20 @@ def test_the_checks_catch_what_they_are_for():
         "    def orphan_method(self):\n"
         "        pass\n"
         "def _helper():\n"
-        "    return 1\n"
+        "    return _TOL\n"
         "def patched():\n"
         "    pass\n"
         "def orphan():\n"
         "    pass\n"
+        "_TOL = 1e-9\n"
+        "LIMIT: int = 3\n"
+        "_RETIRED = 1e-10\n"
+        "__version__ = '1'\n"
     )
-    elsewhere = "from lib import Used\nUsed().method()\nbindings = [(lib, 'patched')]\n"
+    elsewhere = ("from lib import Used, LIMIT\nUsed().method()\nbindings = [(lib, 'patched')]\n"
+                 "lib._RETIRED = 0.0\n_RETIRED = 2\n")
     assert orphan_definitions({"lib": library}, [library, elsewhere]) == [
-        "lib line 6: orphan_method", "lib line 12: orphan"]
+        "lib line 6: orphan_method", "lib line 12: orphan", "lib line 16: _RETIRED"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
